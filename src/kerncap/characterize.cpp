@@ -6,6 +6,7 @@
 #include "common/status.hpp"
 #include "report/json_sink.hpp"
 #include "sim/gpu.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::kerncap {
 
@@ -39,9 +40,10 @@ std::string Slug(const Prepared& prepared) {
 
 suite::Measurement MeasureAt(const Prepared& prepared, const GpuArch& arch,
                              const sim::LaunchConfig& config,
-                             const std::string& point_label) {
+                             const std::string& point_label,
+                             unsigned attempt) {
   const suite::Runner runner(arch);
-  return runner.Measure(prepared.kernel, config, {point_label, 1});
+  return runner.Measure(prepared.kernel, config, {point_label, attempt});
 }
 
 namespace {
@@ -61,85 +63,62 @@ void OperatingPointFindings(report::Figure& figure, const std::string& name,
        std::string(sim::ToString(op.profile->attribution.bottleneck))});
 }
 
+/// One measured rung of a curve's domain ladder.
+struct Rung {
+  unsigned domain = 0;
+  suite::Measurement m;
+};
+
 void RunCurve(report::Figure& figure, const Prepared& prepared,
               const suite::CurveKey& key,
               const std::vector<unsigned>& domains,
               const CharacterizeOptions& options) {
   const std::string name = key.Name();
-  const auto launch_at = [&](std::size_t i) {
-    sim::LaunchConfig launch;
-    launch.domain = Domain{domains[i], domains[i]};
-    launch.mode = key.mode;
-    launch.block = BlockShape{64, 1};
-    launch.repetitions = suite::kPaperRepetitions;
-    launch.watchdog_cycles = options.watchdog_cycles;
-    launch.profile = true;
-    return launch;
+  const auto wavefronts_of = [&](unsigned domain) {
+    return static_cast<double>(domain) * domain / key.arch.wavefront_size;
   };
-  const auto wavefronts_at = [&](std::size_t i) {
-    return static_cast<double>(domains[i]) * domains[i] /
-           key.arch.wavefront_size;
+  const auto name_of = [&](std::size_t i) {
+    return "domain_" + std::to_string(domains[i]);
   };
+  exec::RunReport report;
+  std::optional<adapt::Outcome> outcome;
+  // Retry behaviour is pinned (not RetryPolicy::FromEnv) so the ladder,
+  // and with it the document, matches across daemon flavors regardless
+  // of the host's AMDMB_RETRY.
+  const std::vector<Rung> rungs = suite::SweepPoints<Rung>(
+      domains.size(), [&](std::size_t i) { return wavefronts_of(domains[i]); },
+      [&](std::size_t i, unsigned attempt) {
+        sim::LaunchConfig launch;
+        launch.domain = Domain{domains[i], domains[i]};
+        launch.mode = key.mode;
+        launch.block = BlockShape{64, 1};
+        launch.repetitions = suite::kPaperRepetitions;
+        launch.watchdog_cycles = options.watchdog_cycles;
+        launch.profile = true;
+        return Rung{domains[i],
+                    MeasureAt(prepared, key.arch, launch, name_of(i), attempt)};
+      },
+      name_of, options.adaptive, options.executor, exec::RetryPolicy{},
+      /*cancel=*/nullptr, &report, &outcome);
 
-  if (options.adaptive != nullptr) {
-    const suite::Runner runner(key.arch);
-    std::vector<std::optional<suite::Measurement>> slots(domains.size());
-    // Retry behaviour is pinned (not RetryPolicy::FromEnv) so the
-    // refinement trajectory matches across daemon flavors regardless of
-    // the host's AMDMB_RETRY.
-    const adapt::Refiner refiner(*options.adaptive, options.executor,
-                                 exec::RetryPolicy{});
-    exec::RunReport report;
-    const adapt::Outcome outcome = refiner.Run(
-        domains.size(), wavefronts_at,
-        [&](std::size_t i, unsigned attempt) {
-          suite::Measurement m = runner.Measure(
-              prepared.kernel, launch_at(i),
-              {"domain_" + std::to_string(domains[i]), attempt});
-          std::string label(sim::ToString(m.stats.bottleneck));
-          slots[i] = std::move(m);
-          return label;
-        },
-        &report);
-    for (exec::PointOutcome& point : report.points) {
-      point.label = "domain_" + std::to_string(domains[point.index]);
-    }
-    Series& series = figure.set.Get(name);
-    for (const std::size_t i : outcome.measured) {
-      if (!slots[i].has_value()) continue;
-      series.Add(wavefronts_at(i), slots[i]->seconds);
-      figure.profiles.push_back(report::MakeProfileEntry(
-          name, *slots[i]->profile,
-          sim::ToString(slots[i]->stats.bottleneck)));
-    }
-    for (report::Degradation& d : report::DegradationsFrom(report, name)) {
-      figure.degradations.push_back(std::move(d));
-    }
-    Require(slots.back().has_value(),
-            "kerncap adaptive: operating point failed");
-    OperatingPointFindings(figure, name, *slots.back());
+  Series& series = figure.set.Get(name);
+  for (const Rung& rung : rungs) {
+    series.Add(wavefronts_of(rung.domain), rung.m.seconds);
+    figure.profiles.push_back(report::MakeProfileEntry(
+        name, *rung.m.profile, sim::ToString(rung.m.stats.bottleneck)));
+  }
+  for (report::Degradation& d : report::DegradationsFrom(report, name)) {
+    figure.degradations.push_back(std::move(d));
+  }
+  Require(!rungs.empty() && rungs.back().domain == domains.back(),
+          "kerncap: operating point failed");
+  OperatingPointFindings(figure, name, rungs.back().m);
+  if (outcome.has_value()) {
     for (report::Finding& f :
-         adapt::AdaptiveFindings(outcome, name, "wavefronts")) {
+         adapt::AdaptiveFindings(*outcome, name, "wavefronts")) {
       figure.findings.push_back(std::move(f));
     }
-    return;
   }
-
-  const std::vector<suite::Measurement> points =
-      exec::ExecutorOrDefault(options.executor)
-          .Map(domains.size(), [&](std::size_t i) {
-            return MeasureAt(prepared, key.arch, launch_at(i),
-                             "domain_" + std::to_string(domains[i]));
-          });
-  Series& series = figure.set.Get(name);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    series.Add(wavefronts_at(i), points[i].seconds);
-  }
-  for (const suite::Measurement& m : points) {
-    figure.profiles.push_back(report::MakeProfileEntry(
-        name, *m.profile, sim::ToString(m.stats.bottleneck)));
-  }
-  OperatingPointFindings(figure, name, points.back());
 }
 
 }  // namespace

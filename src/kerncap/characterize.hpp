@@ -11,6 +11,12 @@
 // the "<card> static" pseudo-curves, so one document carries the full
 // static + dynamic characterization.
 //
+// The ladder runs through suite::SweepPoints, the same sweep path as
+// every registry figure, under the pinned exec::RetryPolicy{} rather
+// than AMDMB_RETRY: a rung hit by a transient fault is retried and
+// recorded as a degradation, and the document still completes as long
+// as the operating rung is measured.
+//
 // Determinism contract (asserted by tests and the kerncap-smoke CI
 // job): for a fixed kernel and quick flag, the figure's BenchJson is
 // byte-identical across AMDMB_THREADS values and across single-daemon
@@ -44,8 +50,7 @@ struct CharacterizeOptions {
   /// Non-null refines the domain ladder adaptively (adapt::Refiner)
   /// instead of measuring every rung. The operating point (the last
   /// rung) is always in the coarse pass, so the bottleneck verdict is
-  /// still taken at the same launch. Retry behaviour stays pinned to
-  /// the analysis default, not AMDMB_RETRY, like the other env fields.
+  /// still taken at the same launch.
   const adapt::Settings* adaptive = nullptr;
 };
 
@@ -67,11 +72,13 @@ std::string FigureId(const Prepared& prepared);
 std::string Slug(const Prepared& prepared);
 
 /// One profiled measurement of the prepared kernel at an explicit
-/// launch point. Shared by the sweep and the registry cross-validation
-/// test, so both sides of the comparison run the identical path.
+/// launch point; `attempt` is the retry layer's 1-based attempt number.
+/// Shared by the sweep and the registry cross-validation test, so both
+/// sides of the comparison run the identical path.
 suite::Measurement MeasureAt(const Prepared& prepared, const GpuArch& arch,
                              const sim::LaunchConfig& config,
-                             const std::string& point_label);
+                             const std::string& point_label,
+                             unsigned attempt);
 
 /// Runs the full characterization and returns the finalized figure.
 /// `on_curve` streams per-curve completion exactly like

@@ -24,8 +24,10 @@ std::string_view ToString(RejectReason reason) {
 }
 
 std::string ContentHash(std::string_view il) {
-  // FNV-1a 64-bit: deterministic across platforms, cheap, and stable —
-  // it is wire protocol (routing key + figure identity), not security.
+  // FNV-1a 64-bit with a non-standard offset basis (the standard
+  // 14695981039346656037 minus its last digit; see intake.hpp). It is
+  // wire protocol (routing key + figure identity), not security, so the
+  // basis stays: changing it would rename every slug.
   std::uint64_t hash = 1469598103934665603ull;
   for (const char c : il) {
     hash ^= static_cast<unsigned char>(c);

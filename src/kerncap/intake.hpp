@@ -64,9 +64,12 @@ struct IntakeLimits {
   std::size_t max_name_bytes = 64;
 };
 
-/// Content identity of submitted IL text: FNV-1a 64-bit over the raw
-/// bytes, rendered as 16 hex digits. The fleet routes characterize
-/// requests by this hash, and it names the figure record.
+/// Content identity of submitted IL text, rendered as 16 hex digits:
+/// FNV-1a 64-bit over the raw bytes, but with offset basis
+/// 1469598103934665603 (0x14650fb0739d0383), the standard
+/// 14695981039346656037 with its last digit dropped. The value is kept
+/// as is: the fleet routes characterize requests by this hash, and it
+/// names the figure record (slug and figure id).
 std::string ContentHash(std::string_view il);
 
 /// A kernel that survived intake: parsed, verified, compiled for every

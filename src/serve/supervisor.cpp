@@ -74,8 +74,11 @@ void Supervisor::Start() {
     slots_.push_back(std::move(slot));
   }
   for (const std::unique_ptr<Slot>& slot : slots_) Respawn(*slot);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // The health thread starts first: once the accept thread runs, a
+  // client `drain` can reach BeginDrain, which joins health_thread_ and
+  // must never see it half-assigned.
   health_thread_ = std::thread([this] { HealthLoop(); });
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
 void Supervisor::AcceptLoop() {

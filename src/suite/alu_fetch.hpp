@@ -13,7 +13,6 @@
 
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
 
 namespace amdmb::suite {
@@ -74,10 +73,5 @@ AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
 /// Empty when the sweep produced no points.
 std::vector<report::Finding> Findings(const AluFetchResult& result,
                                       const std::string& curve);
-
-/// Runs the sweep for every curve in `curves` and assembles the figure.
-SeriesSet AluFetchFigure(const std::vector<CurveKey>& curves,
-                         const AluFetchConfig& config,
-                         const std::string& title);
 
 }  // namespace amdmb::suite

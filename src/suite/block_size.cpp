@@ -4,6 +4,7 @@
 
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -42,31 +43,30 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
   }
   Check(!shapes.empty(), "block explorer: no dividing shapes");
 
-  BlockSizeResult result;
-  auto label_of = [](const BlockShape& block) {
-    return "block_" + std::to_string(block.x) + "x" + std::to_string(block.y);
+  const auto name_of = [&](std::size_t i) {
+    return "block_" + std::to_string(shapes[i].x) + "x" +
+           std::to_string(shapes[i].y);
   };
-  auto slots = exec::ExecutorOrDefault(config.executor)
-                   .MapWithPolicy(
-                       shapes.size(),
-                       [&](std::size_t i, unsigned attempt) {
-                         sim::LaunchConfig launch;
-                         launch.domain = config.domain;
-                         launch.mode = ShaderMode::kCompute;
-                         launch.block = shapes[i];
-                         launch.repetitions = config.repetitions;
-                         launch.profile = config.profile;
-                         BlockSizePoint point;
-                         point.block = shapes[i];
-                         point.m = runner.Measure(
-                             kernel, launch, {label_of(shapes[i]), attempt});
-                         return point;
-                       },
-                       config.retry, &result.report, config.cancel);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    result.report.points[i].label = label_of(shapes[i]);
-    if (slots[i]) result.points.push_back(std::move(*slots[i]));
-  }
+  BlockSizeResult result;
+  result.points = SweepPoints<BlockSizePoint>(
+      shapes.size(),
+      [&](std::size_t i) {
+        return std::log2(static_cast<double>(shapes[i].x));
+      },
+      [&](std::size_t i, unsigned attempt) {
+        sim::LaunchConfig launch;
+        launch.domain = config.domain;
+        launch.mode = ShaderMode::kCompute;
+        launch.block = shapes[i];
+        launch.repetitions = config.repetitions;
+        launch.profile = config.profile;
+        BlockSizePoint point;
+        point.block = shapes[i];
+        point.m = runner.Measure(kernel, launch, {name_of(i), attempt});
+        return point;
+      },
+      name_of, /*adaptive=*/nullptr, config.executor, config.retry,
+      config.cancel, &result.report, /*outcome=*/nullptr);
 
   double naive_seconds = 0.0;
   bool first = true;
@@ -82,22 +82,6 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
                              ? naive_seconds / result.best_seconds
                              : 1.0;
   return result;
-}
-
-SeriesSet BlockSizeFigure(const BlockSizeConfig& config,
-                          const std::string& title) {
-  SeriesSet figure(title, "log2(block width)", "Time in seconds");
-  for (const GpuArch& arch : AllArchs()) {
-    if (!arch.supports_compute) continue;
-    Runner runner(arch);
-    const BlockSizeResult result = RunBlockSizeExplorer(runner, config);
-    const CurveKey key{arch, ShaderMode::kCompute, config.type};
-    Series& series = figure.Get(key.Name());
-    for (const BlockSizePoint& p : result.points) {
-      series.Add(std::log2(static_cast<double>(p.block.x)), p.m.seconds);
-    }
-  }
-  return figure;
 }
 
 std::vector<report::Finding> Findings(const BlockSizeResult& result,

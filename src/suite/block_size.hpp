@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
 
 namespace amdmb::suite {
@@ -66,9 +65,5 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
 /// exploration produced no points.
 std::vector<report::Finding> Findings(const BlockSizeResult& result,
                                       const std::string& curve);
-
-/// Figure: one curve per GPU (compute-capable), x = log2(block width).
-SeriesSet BlockSizeFigure(const BlockSizeConfig& config,
-                          const std::string& title);
 
 }  // namespace amdmb::suite

@@ -2,6 +2,7 @@
 
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -31,77 +32,28 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
     sizes.push_back(size);
   }
 
-  DomainSizeResult result;
-  const auto measure_point = [&](std::size_t i, unsigned attempt) {
-    sim::LaunchConfig launch;
-    launch.domain = Domain{sizes[i], sizes[i]};
-    launch.mode = mode;
-    launch.block = config.block;
-    launch.repetitions = config.repetitions;
-    launch.profile = config.profile;
-    DomainSizePoint point;
-    point.size = sizes[i];
-    point.m = runner.Measure(kernel, launch,
-                             {"domain_" + std::to_string(sizes[i]), attempt});
-    return point;
+  const auto name_of = [&](std::size_t i) {
+    return "domain_" + std::to_string(sizes[i]);
   };
-
-  if (config.adaptive != nullptr) {
-    std::vector<std::optional<DomainSizePoint>> slots(sizes.size());
-    const adapt::Refiner refiner(*config.adaptive, config.executor,
-                                 config.retry, config.cancel);
-    adapt::Outcome outcome = refiner.Run(
-        sizes.size(),
-        [&](std::size_t i) { return static_cast<double>(sizes[i]); },
-        [&](std::size_t i, unsigned attempt) {
-          DomainSizePoint point = measure_point(i, attempt);
-          std::string label(sim::ToString(point.m.stats.bottleneck));
-          slots[i] = std::move(point);
-          return label;
-        },
-        &result.report);
-    for (exec::PointOutcome& point : result.report.points) {
-      point.label = "domain_" + std::to_string(sizes[point.index]);
-    }
-    for (std::optional<DomainSizePoint>& slot : slots) {
-      if (slot) result.points.push_back(std::move(*slot));
-    }
-    result.adaptive = std::move(outcome);
-    return result;
-  }
-
-  auto slots = exec::ExecutorOrDefault(config.executor)
-                   .MapWithPolicy(
-                       sizes.size(),
-                       [&](std::size_t i, unsigned attempt) {
-                         return measure_point(i, attempt);
-                       },
-                       config.retry, &result.report, config.cancel);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    result.report.points[i].label = "domain_" + std::to_string(sizes[i]);
-    if (slots[i]) result.points.push_back(std::move(*slots[i]));
-  }
+  DomainSizeResult result;
+  result.points = SweepPoints<DomainSizePoint>(
+      sizes.size(),
+      [&](std::size_t i) { return static_cast<double>(sizes[i]); },
+      [&](std::size_t i, unsigned attempt) {
+        sim::LaunchConfig launch;
+        launch.domain = Domain{sizes[i], sizes[i]};
+        launch.mode = mode;
+        launch.block = config.block;
+        launch.repetitions = config.repetitions;
+        launch.profile = config.profile;
+        DomainSizePoint point;
+        point.size = sizes[i];
+        point.m = runner.Measure(kernel, launch, {name_of(i), attempt});
+        return point;
+      },
+      name_of, config.adaptive, config.executor, config.retry, config.cancel,
+      &result.report, &result.adaptive);
   return result;
-}
-
-SeriesSet DomainSizeFigure(ShaderMode mode, DataType type,
-                           const DomainSizeConfig& config,
-                           const std::string& title) {
-  SeriesSet figure(title, "Domain Size", "Time in seconds");
-  for (const GpuArch& arch : AllArchs()) {
-    if (mode == ShaderMode::kCompute && !arch.supports_compute) continue;
-    Runner runner(arch);
-    const DomainSizeResult result = RunDomainSize(runner, mode, type, config);
-    const CurveKey key{arch, mode, type};
-    // Fig. 15 labels curves by card only.
-    std::string label = key.Name();
-    label = label.substr(0, label.find(' '));
-    Series& series = figure.Get(label);
-    for (const DomainSizePoint& p : result.points) {
-      series.Add(p.size, p.m.seconds);
-    }
-  }
-  return figure;
 }
 
 std::vector<report::Finding> Findings(const DomainSizeResult& result,

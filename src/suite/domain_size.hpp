@@ -12,7 +12,6 @@
 
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
 
 namespace amdmb::suite {
@@ -63,10 +62,5 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
 /// when the sweep produced no points.
 std::vector<report::Finding> Findings(const DomainSizeResult& result,
                                       const std::string& curve);
-
-/// Fig. 15a/b layout: one curve per GPU for the given mode.
-SeriesSet DomainSizeFigure(ShaderMode mode, DataType type,
-                           const DomainSizeConfig& config,
-                           const std::string& title);
 
 }  // namespace amdmb::suite

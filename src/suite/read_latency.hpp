@@ -12,7 +12,6 @@
 #include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
 
 namespace amdmb::suite {
@@ -64,9 +63,5 @@ ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
 /// an empty sweep (zeros), so faulted runs stay deterministic.
 std::vector<report::Finding> Findings(const ReadLatencyResult& result,
                                       const std::string& curve);
-
-SeriesSet ReadLatencyFigure(const std::vector<CurveKey>& curves,
-                            const ReadLatencyConfig& config,
-                            const std::string& title);
 
 }  // namespace amdmb::suite

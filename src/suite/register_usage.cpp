@@ -1,6 +1,7 @@
 #include "suite/register_usage.hpp"
 
 #include "common/status.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -18,88 +19,38 @@ RegisterUsageResult RunRegisterUsage(const Runner& runner, ShaderMode mode,
   launch.repetitions = config.repetitions;
   launch.profile = config.profile;
 
-  const std::size_t count = config.max_step - config.min_step + 1;
-  const auto measure_point = [&](std::size_t i, unsigned attempt) {
-    const unsigned step = config.min_step + static_cast<unsigned>(i);
-    RegisterUsageSpec spec;
-    spec.inputs = config.inputs;
-    spec.space = config.space;
-    spec.step = step;
-    spec.alu_fetch_ratio = config.alu_fetch_ratio;
-    spec.type = type;
-    spec.read_path = ReadPath::kTexture;
-    spec.write_path = mode == ShaderMode::kCompute ? WritePath::kGlobal
-                                                   : WritePath::kStream;
-    spec.name = "regusage_s" + std::to_string(step);
-    const il::Kernel kernel = config.clause_control
-                                  ? GenerateClauseUsage(spec)
-                                  : GenerateRegisterUsage(spec);
-    RegisterUsagePoint point;
-    point.step = step;
-    point.m = runner.Measure(kernel, launch, {spec.name, attempt});
-    point.gpr_count = point.m.stats.gpr_count;
-    return point;
+  const auto step_of = [&](std::size_t i) {
+    return config.min_step + static_cast<unsigned>(i);
   };
-
-  if (config.adaptive != nullptr) {
-    std::vector<std::optional<RegisterUsagePoint>> slots(count);
-    const adapt::Refiner refiner(*config.adaptive, config.executor,
-                                 config.retry, config.cancel);
-    adapt::Outcome outcome = refiner.Run(
-        count,
-        [&](std::size_t i) {
-          return static_cast<double>(config.min_step + i);
-        },
-        [&](std::size_t i, unsigned attempt) {
-          RegisterUsagePoint point = measure_point(i, attempt);
-          std::string label(sim::ToString(point.m.stats.bottleneck));
-          slots[i] = std::move(point);
-          return label;
-        },
-        &result.report);
-    for (exec::PointOutcome& point : result.report.points) {
-      point.label =
-          "regusage_s" +
-          std::to_string(config.min_step +
-                         static_cast<unsigned>(point.index));
-    }
-    for (std::optional<RegisterUsagePoint>& slot : slots) {
-      if (slot) result.points.push_back(std::move(*slot));
-    }
-    result.adaptive = std::move(outcome);
-    return result;
-  }
-
-  auto slots = exec::ExecutorOrDefault(config.executor)
-                   .MapWithPolicy(
-                       count,
-                       [&](std::size_t i, unsigned attempt) {
-                         return measure_point(i, attempt);
-                       },
-                       config.retry, &result.report, config.cancel);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    result.report.points[i].label =
-        "regusage_s" +
-        std::to_string(config.min_step + static_cast<unsigned>(i));
-    if (slots[i]) result.points.push_back(std::move(*slots[i]));
-  }
+  const auto name_of = [&](std::size_t i) {
+    return "regusage_s" + std::to_string(step_of(i));
+  };
+  result.points = SweepPoints<RegisterUsagePoint>(
+      config.max_step - config.min_step + 1,
+      [&](std::size_t i) { return static_cast<double>(step_of(i)); },
+      [&](std::size_t i, unsigned attempt) {
+        RegisterUsageSpec spec;
+        spec.inputs = config.inputs;
+        spec.space = config.space;
+        spec.step = step_of(i);
+        spec.alu_fetch_ratio = config.alu_fetch_ratio;
+        spec.type = type;
+        spec.read_path = ReadPath::kTexture;
+        spec.write_path = mode == ShaderMode::kCompute ? WritePath::kGlobal
+                                                       : WritePath::kStream;
+        spec.name = name_of(i);
+        const il::Kernel kernel = config.clause_control
+                                      ? GenerateClauseUsage(spec)
+                                      : GenerateRegisterUsage(spec);
+        RegisterUsagePoint point;
+        point.step = spec.step;
+        point.m = runner.Measure(kernel, launch, {spec.name, attempt});
+        point.gpr_count = point.m.stats.gpr_count;
+        return point;
+      },
+      name_of, config.adaptive, config.executor, config.retry, config.cancel,
+      &result.report, &result.adaptive);
   return result;
-}
-
-SeriesSet RegisterUsageFigure(const std::vector<CurveKey>& curves,
-                              const RegisterUsageConfig& config,
-                              const std::string& title) {
-  SeriesSet figure(title, "Global Purpose Registers", "Time in seconds");
-  for (const CurveKey& key : curves) {
-    Runner runner(key.arch);
-    const RegisterUsageResult result =
-        RunRegisterUsage(runner, key.mode, key.type, config);
-    Series& series = figure.Get(key.Name());
-    for (const RegisterUsagePoint& p : result.points) {
-      series.Add(p.gpr_count, p.m.seconds);
-    }
-  }
-  return figure;
 }
 
 std::vector<report::Finding> Findings(const RegisterUsageResult& result,

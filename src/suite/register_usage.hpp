@@ -15,7 +15,6 @@
 
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/kernelgen.hpp"
 #include "suite/microbench.hpp"
 
@@ -80,9 +79,5 @@ std::vector<report::Finding> Findings(const RegisterUsageResult& result,
 /// from register pressure. Empty when the sweep produced no points.
 std::vector<report::Finding> ControlFindings(
     const RegisterUsageResult& control, const std::string& curve);
-
-SeriesSet RegisterUsageFigure(const std::vector<CurveKey>& curves,
-                              const RegisterUsageConfig& config,
-                              const std::string& title);
 
 }  // namespace amdmb::suite

@@ -14,7 +14,6 @@
 #include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
-#include "report/series.hpp"
 #include "suite/microbench.hpp"
 
 namespace amdmb::suite {
@@ -68,9 +67,5 @@ WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
 /// for an empty sweep (zeros), so faulted runs stay deterministic.
 std::vector<report::Finding> Findings(const WriteLatencyResult& result,
                                       const std::string& curve);
-
-SeriesSet WriteLatencyFigure(const std::vector<CurveKey>& curves,
-                             const WriteLatencyConfig& config,
-                             const std::string& title);
 
 }  // namespace amdmb::suite

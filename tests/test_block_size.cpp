@@ -52,15 +52,5 @@ TEST(BlockExplorerTest, RejectsRv670) {
   EXPECT_THROW(RunBlockSizeExplorer(runner, {}), ConfigError);
 }
 
-TEST(BlockExplorerTest, FigureHasComputeCapableCurves) {
-  BlockSizeConfig config;
-  config.domain = Domain{256, 256};
-  const SeriesSet figure = BlockSizeFigure(config, "block sweep");
-  EXPECT_EQ(figure.All().size(), 2u);  // RV770 + RV870.
-  for (const Series& s : figure.All()) {
-    EXPECT_EQ(s.Points().size(), 7u);
-  }
-}
-
 }  // namespace
 }  // namespace amdmb::suite

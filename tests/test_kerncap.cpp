@@ -12,6 +12,7 @@
 #include "arch/gpu_arch.hpp"
 #include "arch/occupancy.hpp"
 #include "exec/sweep_executor.hpp"
+#include "fault/fault.hpp"
 #include "il/printer.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/intake.hpp"
@@ -95,6 +96,8 @@ TEST(KerncapIntake, ContentHashIsStable) {
   EXPECT_EQ(a, kerncap::ContentHash(kValidPixelIl));
   EXPECT_NE(a, kerncap::ContentHash(kValidGlobalIl));
   EXPECT_EQ(a.find_first_not_of("0123456789abcdef"), std::string::npos);
+  // Pinned: slugs, figure ids and fleet routing all derive from it.
+  EXPECT_EQ(a, "cefaee159a1bea3a");
 }
 
 void ExpectRejected(const kerncap::AnalyzeResult& result,
@@ -218,6 +221,46 @@ TEST(KerncapCharacterize, DeterministicAcrossExecutorWidths) {
   EXPECT_EQ(serial, parallel);
 }
 
+// The dense ladder runs under the pinned retry policy: a transient
+// launch fault on a rung is retried and recorded as a degradation, and
+// the document still completes, byte-identical at any executor width.
+// Fault keys are "<point>#<attempt>", so this seed fails domain_128's
+// first attempt and the operating rung domain_256's first two on every
+// curve.
+TEST(KerncapCharacterize, DenseLadderRetriesTransientFaults) {
+  const kerncap::AnalyzeResult result = kerncap::Analyze(kValidGlobalIl);
+  ASSERT_TRUE(result.ok());
+  const fault::ScopedFaultInjector faults("launch:0.3,seed=2");
+  kerncap::CharacterizeOptions options;
+  options.quick = true;
+
+  const exec::SweepExecutor one(1);
+  options.executor = &one;
+  const report::Figure figure =
+      kerncap::Characterize(*result.prepared, options);
+  const std::size_t curves =
+      kerncap::EligibleCurves(result.prepared->kernel).size();
+  ASSERT_EQ(figure.degradations.size(), 2 * curves);
+  for (const report::Degradation& d : figure.degradations) {
+    EXPECT_EQ(d.status, "retried") << d.Render();
+    EXPECT_EQ(d.attempts, d.point == "domain_256" ? 3u : 2u) << d.Render();
+    EXPECT_TRUE(d.point == "domain_128" || d.point == "domain_256")
+        << d.Render();
+  }
+  for (const Series& curve : figure.set.All()) {
+    EXPECT_EQ(curve.Points().size(), kerncap::SweepDomains(true).size())
+        << curve.Name();
+  }
+  ASSERT_NE(report::FindFinding(figure.findings, "operating_point_seconds"),
+            nullptr);
+
+  const exec::SweepExecutor four(4);
+  options.executor = &four;
+  const report::Figure wide =
+      kerncap::Characterize(*result.prepared, options);
+  EXPECT_EQ(report::BenchJson(figure), report::BenchJson(wide));
+}
+
 // Every registry figure family, cross-validated: print the generated
 // kernel's IL, push the text back through the untrusted-input intake,
 // and measure at the figure's own operating point. The result must be
@@ -246,7 +289,7 @@ TEST(KerncapCrossValidation, ReproducesRegistryOperatingPoints) {
     const suite::Measurement direct =
         runner.Measure(p.kernel, p.config, {p.point, 1});
     const suite::Measurement via =
-        kerncap::MeasureAt(it->second, p.arch, p.config, p.point);
+        kerncap::MeasureAt(it->second, p.arch, p.config, p.point, 1);
 
     EXPECT_EQ(direct.seconds, via.seconds);
     EXPECT_TRUE(direct.stats == via.stats);

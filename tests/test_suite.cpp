@@ -69,23 +69,6 @@ TEST(AluFetchTest, SweepFindsCrossoverAndIsMonotoneAtTail) {
   }
 }
 
-TEST(AluFetchTest, FigureHasOneSeriesPerCurve) {
-  AluFetchConfig config;
-  config.domain = kSmall;
-  config.ratio_min = 1.0;
-  config.ratio_max = 2.0;
-  config.ratio_step = 1.0;
-  const std::vector<CurveKey> curves = {
-      {MakeRV770(), ShaderMode::kPixel, DataType::kFloat},
-      {MakeRV770(), ShaderMode::kCompute, DataType::kFloat},
-  };
-  const SeriesSet figure = AluFetchFigure(curves, config, "test");
-  EXPECT_EQ(figure.All().size(), 2u);
-  for (const Series& s : figure.All()) {
-    EXPECT_EQ(s.Points().size(), 2u);
-  }
-}
-
 TEST(ReadLatencyTest, LinearInInputs) {
   Runner runner(MakeRV770());
   ReadLatencyConfig config;
