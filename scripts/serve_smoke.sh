@@ -7,7 +7,9 @@
 #      BENCH_fig_7.json (byte-identical is the contract),
 #   3. submit it again and assert the shared kernel cache was hit,
 #   4. run the deterministic load generator,
-#   5. SIGTERM the daemon and assert a clean drain (exit 0).
+#   5. make 200 sequential stats connections and assert the daemon's
+#      open fds did not grow with them (finished sessions are reaped),
+#   6. SIGTERM the daemon and assert a clean drain (exit 0).
 #
 # Usage: scripts/serve_smoke.sh <build-dir>
 set -euo pipefail
@@ -70,6 +72,18 @@ echo "   cache hits: $FIRST_HITS -> $SECOND_HITS"
 echo "== deterministic load generator"
 "$CLIENT" bench --requests 4 --concurrency 2 --seed 7 \
   --figures fig_7 --socket "$SOCKET"
+
+echo "== 200 sequential stats connections (finished sessions are reaped)"
+FDS_BEFORE=$(ls "/proc/$SERVE_PID/fd" | wc -l)
+for _ in $(seq 200); do
+  "$CLIENT" stats --socket "$SOCKET" > /dev/null
+done
+FDS_AFTER=$(ls "/proc/$SERVE_PID/fd" | wc -l)
+echo "   daemon fds: $FDS_BEFORE -> $FDS_AFTER"
+[[ "$FDS_AFTER" -le $((FDS_BEFORE + 8)) ]] || {
+  echo "daemon fds grew by $((FDS_AFTER - FDS_BEFORE)) over 200 connections"
+  exit 1
+}
 
 echo "== SIGTERM drain"
 kill -TERM "$SERVE_PID"

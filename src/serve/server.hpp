@@ -7,24 +7,23 @@
 // compilation its first run paid for — that is the daemon's reason to
 // exist over forking a bench binary per request.
 //
-// Lifecycle: Start() binds and spins the accept loop; Drain() (the
-// SIGTERM contract, also reachable via the client's "drain" op) stops
-// admission, finishes every already-admitted sweep, then closes
-// sessions and joins all threads; Wait() blocks the daemon main until
-// that shutdown completes. Overload never hangs a client: admission
-// beyond queue + in-flight capacity answers "rejected"/"overloaded"
-// immediately.
+// Lifecycle: Start() binds and starts the accept loop (serve::Listener,
+// which also owns the sessions); Drain() (the SIGTERM contract, also
+// reachable via the client's "drain" op) stops admission, finishes
+// every already-admitted sweep, then closes sessions and joins all
+// threads. Overload never hangs a client: admission beyond queue +
+// in-flight capacity answers "rejected"/"overloaded" immediately.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "kerncap/intake.hpp"
+#include "serve/listener.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_store.hpp"
 #include "serve/scheduler.hpp"
@@ -79,37 +78,39 @@ class Server {
   const std::string& SocketPath() const { return config_.socket_path; }
 
  private:
-  void AcceptLoop();
-  void RunSession(std::shared_ptr<Session> session);
+  /// Builds one document from the request id (for events sent before
+  /// the sweep), adaptive settings (null = dense) and a curve callback.
+  using BuildFn = std::function<report::Figure(
+      std::uint64_t id, const adapt::Settings* adaptive,
+      const suite::figures::CurveCallback& on_curve)>;
+
+  void Dispatch(const std::shared_ptr<Session>& session,
+                const Request& request);
   void HandleSubmit(const std::shared_ptr<Session>& session,
                     const Request& request);
   void HandleCharacterize(const std::shared_ptr<Session>& session,
                           const Request& request);
   void HandlePing(const std::shared_ptr<Session>& session,
                   const Request& request);
-  const suite::figures::FigureDef* FindFigure(const std::string& slug) const;
-  void RunSweep(const std::shared_ptr<Session>& session, std::uint64_t id,
-                const suite::figures::FigureDef& def, bool quick,
-                bool adaptive);
-  void RunCharacterize(const std::shared_ptr<Session>& session,
-                       std::uint64_t id,
-                       const std::shared_ptr<const kerncap::Prepared>& prepared,
-                       bool quick, bool adaptive);
+  /// Queues `build` under `slug` and answers accepted or rejected;
+  /// `curves` names its curves in build order (refine attribution).
+  void Admit(const std::shared_ptr<Session>& session, const Request& request,
+             const std::string& slug, std::vector<std::string> curves,
+             BuildFn build);
+  /// Runs one admitted build, streaming its events and the terminal
+  /// done / sweep_failed error.
+  void Run(const std::shared_ptr<Session>& session, std::uint64_t id,
+           const std::string& slug, const std::vector<std::string>& curves,
+           bool adaptive, const BuildFn& build);
 
   ServerConfig config_;
   Scheduler scheduler_;
   ResultStore store_;
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
-  std::atomic<bool> stop_accept_{false};
   std::atomic<bool> drain_requested_{false};
   std::once_flag drain_once_;
-  std::once_flag shutdown_once_;
 
-  std::mutex sessions_mutex_;
-  std::vector<std::shared_ptr<Session>> sessions_;
-  std::vector<std::thread> session_threads_;
+  Listener listener_;  ///< Last: its session threads use the members above.
 };
 
 }  // namespace amdmb::serve

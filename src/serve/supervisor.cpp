@@ -1,13 +1,12 @@
 #include "serve/supervisor.hpp"
 
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <utility>
 
@@ -52,7 +51,10 @@ void ReapWithGrace(pid_t pid, int grace_ms) {
 }  // namespace
 
 Supervisor::Supervisor(SupervisorConfig config)
-    : config_(std::move(config)), ring_(config_.workers) {
+    : config_(std::move(config)),
+      ring_(config_.workers),
+      listener_(config_.socket_path,
+                std::bind_front(&Supervisor::Dispatch, this)) {
   Require(!config_.socket_path.empty(), "supervisor: empty socket path");
   Require(config_.workers >= 1, "supervisor: need at least one worker");
   if (config_.registry == nullptr) {
@@ -65,7 +67,7 @@ Supervisor::~Supervisor() { Drain(); }
 void Supervisor::Start() {
   // Bind the client listener first: a stale-socket / live-daemon error
   // must surface before any child is forked.
-  listen_fd_ = MakeListenSocket(config_.socket_path);
+  listener_.Bind();
   slots_.reserve(config_.workers);
   for (unsigned i = 0; i < config_.workers; ++i) {
     auto slot = std::make_unique<Slot>(config_.health);
@@ -78,82 +80,38 @@ void Supervisor::Start() {
   // client `drain` can reach BeginDrain, which joins health_thread_ and
   // must never see it half-assigned.
   health_thread_ = std::thread([this] { HealthLoop(); });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  listener_.Start();
 }
 
-void Supervisor::AcceptLoop() {
-  while (!stop_accept_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) continue;  // Timeout or EINTR: re-check stop flag.
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    auto session = std::make_shared<Session>(fd);
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    if (stop_accept_.load(std::memory_order_relaxed)) break;
-    sessions_.push_back(session);
-    session_threads_.emplace_back(
-        [this, session = std::move(session)]() mutable {
-          RunSession(std::move(session));
-        });
-  }
-}
-
-void Supervisor::RunSession(std::shared_ptr<Session> session) {
-  while (std::optional<std::string> line = session->ReadLine()) {
-    if (line->empty()) continue;
-    Request request;
-    try {
-      request = ParseRequest(*line);
-    } catch (const std::exception& e) {
-      session->WriteLine(
-          SerializeError(0, ErrorKind::kProtocolError, e.what()));
-      continue;
+void Supervisor::Dispatch(const std::shared_ptr<Session>& session,
+                          const Request& request) {
+  switch (request.op) {
+    case Request::Op::kSubmit:
+      HandleSubmit(session, request);
+      break;
+    case Request::Op::kCharacterize:
+      HandleCharacterize(session, request);
+      break;
+    case Request::Op::kStats:
+      session->WriteLine(SerializeStats(Stats()));
+      break;
+    case Request::Op::kDrain:
+      BeginDrain();
+      session->WriteLine(SerializeDrained(store_.Completed()));
+      break;
+    case Request::Op::kPing: {
+      // Liveness probe of the supervisor itself: echo the seq with
+      // cluster-level terminal counters.
+      PongStats pong;
+      pong.completed = store_.Completed();
+      pong.failed = store_.Failed();
+      session->WriteLine(SerializePong(0, request.seq, pong));
+      break;
     }
-    switch (request.op) {
-      case Request::Op::kSubmit:
-        HandleSubmit(session, request);
-        break;
-      case Request::Op::kCharacterize:
-        HandleCharacterize(session, request);
-        break;
-      case Request::Op::kStats:
-        session->WriteLine(SerializeStats(Stats()));
-        break;
-      case Request::Op::kDrain:
-        BeginDrain();
-        session->WriteLine(SerializeDrained(store_.Completed()));
-        break;
-      case Request::Op::kPing: {
-        // Liveness probe of the supervisor itself: echo the seq with
-        // cluster-level terminal counters.
-        PongStats pong;
-        pong.completed = store_.Completed();
-        pong.failed = store_.Failed();
-        session->WriteLine(SerializePong(0, request.seq, pong));
-        break;
-      }
-      case Request::Op::kKillWorker:
-        HandleKillWorker(session, request);
-        break;
-    }
+    case Request::Op::kKillWorker:
+      HandleKillWorker(session, request);
+      break;
   }
-  if (session->Overflowed()) {
-    session->WriteLine(SerializeError(
-        0, ErrorKind::kProtocolError,
-        "request line exceeds " + std::to_string(kMaxLineBytes) +
-            " bytes; closing session"));
-    session->Close();
-  }
-}
-
-const suite::figures::FigureDef* Supervisor::FindFigure(
-    const std::string& slug) const {
-  const std::string key = suite::figures::NormalizeSlug(slug);
-  for (const suite::figures::FigureDef& def : *config_.registry) {
-    if (suite::figures::NormalizeSlug(def.slug) == key) return &def;
-  }
-  return nullptr;
 }
 
 std::optional<unsigned> Supervisor::AdmitAndRoute(
@@ -193,7 +151,8 @@ std::optional<unsigned> Supervisor::AdmitAndRoute(
 
 void Supervisor::HandleSubmit(const std::shared_ptr<Session>& session,
                               const Request& request) {
-  const suite::figures::FigureDef* def = FindFigure(request.figure);
+  const suite::figures::FigureDef* def =
+      suite::figures::Find(request.figure, *config_.registry);
   if (def == nullptr) {
     store_.RecordRejected();
     session->WriteLine(SerializeRejected("unknown_figure", request.figure));
@@ -511,19 +470,10 @@ void Supervisor::MarkDead(Slot& slot, bool kill_process) {
 }
 
 std::vector<int> Supervisor::FdsToCloseInChild() {
-  std::vector<int> fds;
-  if (listen_fd_ >= 0) fds.push_back(listen_fd_);
-  {
-    std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (const std::unique_ptr<Slot>& slot : slots_) {
-      if (slot->control != nullptr) fds.push_back(slot->control->fd());
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    for (const std::shared_ptr<Session>& session : sessions_) {
-      fds.push_back(session->fd());
-    }
+  std::vector<int> fds = listener_.OpenFds();
+  std::lock_guard<std::mutex> lock(slots_mutex_);
+  for (const std::unique_ptr<Slot>& slot : slots_) {
+    if (slot->control != nullptr) fds.push_back(slot->control->fd());
   }
   return fds;
 }
@@ -636,31 +586,17 @@ void Supervisor::BeginDrain() {
         slot->control.reset();
       }
     }
+    // Every worker is reaped now; one that was SIGKILLed or crashed
+    // never unlinked its socket.
+    for (const std::unique_ptr<Slot>& slot : slots_) {
+      ::unlink(slot->socket_path.c_str());
+    }
   });
 }
 
 void Supervisor::Drain() {
   BeginDrain();
-  std::call_once(shutdown_once_, [this] {
-    stop_accept_.store(true, std::memory_order_relaxed);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-      ::unlink(config_.socket_path.c_str());
-      listen_fd_ = -1;
-    }
-    std::vector<std::shared_ptr<Session>> sessions;
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard<std::mutex> lock(sessions_mutex_);
-      sessions.swap(sessions_);
-      threads.swap(session_threads_);
-    }
-    for (const std::shared_ptr<Session>& session : sessions) {
-      session->Close();  // Unblocks ReadLine in every session thread.
-    }
-    for (std::thread& thread : threads) thread.join();
-  });
+  listener_.Close();
 }
 
 }  // namespace amdmb::serve

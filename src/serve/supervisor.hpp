@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "serve/health.hpp"
+#include "serve/listener.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_store.hpp"
 #include "serve/routing.hpp"
@@ -119,9 +120,9 @@ class Supervisor {
     explicit Slot(const HealthPolicy& policy) : health(policy) {}
   };
 
-  void AcceptLoop();
   void HealthLoop();
-  void RunSession(std::shared_ptr<Session> session);
+  void Dispatch(const std::shared_ptr<Session>& session,
+                const Request& request);
   void HandleSubmit(const std::shared_ptr<Session>& session,
                     const Request& request);
   void HandleCharacterize(const std::shared_ptr<Session>& session,
@@ -136,7 +137,6 @@ class Supervisor {
                       const std::string& stat_label);
   void HandleKillWorker(const std::shared_ptr<Session>& session,
                         const Request& request);
-  const suite::figures::FigureDef* FindFigure(const std::string& slug) const;
 
   /// Health-loop helpers (health thread only).
   void TickSlot(Slot& slot);
@@ -159,21 +159,15 @@ class Supervisor {
   HashRing ring_;
   ResultStore store_;  ///< Supervisor-side terminal counters/latencies.
 
-  int listen_fd_ = -1;
-  std::thread accept_thread_;
   std::thread health_thread_;
-  std::atomic<bool> stop_accept_{false};
   std::atomic<bool> stop_health_{false};
   std::atomic<bool> drain_requested_{false};
   std::once_flag drain_once_;
-  std::once_flag shutdown_once_;
 
   mutable std::mutex slots_mutex_;
   std::vector<std::unique_ptr<Slot>> slots_;
 
-  std::mutex sessions_mutex_;
-  std::vector<std::shared_ptr<Session>> sessions_;
-  std::vector<std::thread> session_threads_;
+  Listener listener_;  ///< Last: its session threads use the members above.
 };
 
 }  // namespace amdmb::serve

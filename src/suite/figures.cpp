@@ -612,9 +612,10 @@ std::string NormalizeSlug(std::string_view name) {
   return out;
 }
 
-const FigureDef* Find(std::string_view name) {
+const FigureDef* Find(std::string_view name,
+                      const std::vector<FigureDef>& registry) {
   const std::string key = NormalizeSlug(name);
-  for (const FigureDef& def : Registry()) {
+  for (const FigureDef& def : registry) {
     if (NormalizeSlug(def.slug) == key) return &def;
   }
   return nullptr;

@@ -74,8 +74,10 @@ const std::vector<FigureDef>& Registry();
 /// so "fig07", "fig_7", "Fig7" all name the same figure.
 std::string NormalizeSlug(std::string_view name);
 
-/// Finds a figure by (normalized) slug; nullptr when unknown.
-const FigureDef* Find(std::string_view name);
+/// Finds a figure by (normalized) slug in `registry`; nullptr when
+/// unknown.
+const FigureDef* Find(std::string_view name,
+                      const std::vector<FigureDef>& registry = Registry());
 
 /// Called after each curve completes: (curve index, curve count, curve
 /// name, the figure record built so far).

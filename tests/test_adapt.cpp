@@ -120,13 +120,11 @@ TEST(TransitionTest, KneeFindsTheBendAndRejectsDegenerates) {
 // ---- Refiner over synthetic label fields ------------------------------
 
 /// A synthetic classifier: "FETCH" below the flip index, "ALU" at and
-/// above it. Counts measurements so tests can assert spend.
+/// above it.
 struct StepField {
   std::size_t flip;
-  mutable std::vector<std::size_t> measured;
 
   std::string operator()(std::size_t index, unsigned /*attempt*/) const {
-    measured.push_back(index);
     return index >= flip ? "ALU" : "FETCH";
   }
 };
@@ -135,7 +133,7 @@ TEST(RefinerTest, BisectionBracketsTheFlipWithinTolerance) {
   adapt::Settings settings;
   settings.tol_steps = 1;
   const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });
@@ -169,7 +167,7 @@ TEST(RefinerTest, BudgetTruncatesDeterministically) {
   settings.tol_steps = 1;
   settings.budget = 4;  // Coarse pass (3) plus one bisection point.
   const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });
@@ -185,8 +183,8 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
   settings.tol_steps = 1;
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
-  const StepField f1{/*flip=*/11, {}};
-  const StepField f8{/*flip=*/11, {}};
+  const StepField f1{/*flip=*/11};
+  const StepField f8{/*flip=*/11};
   const adapt::Outcome a =
       adapt::Refiner(settings, &serial, exec::RetryPolicy{})
           .Run(65, [](std::size_t i) { return static_cast<double>(i); },
@@ -203,7 +201,7 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
 
 TEST(RefinerTest, AdaptiveFindingsCarryTransitionAndSpend) {
   const adapt::Refiner refiner({}, nullptr, exec::RetryPolicy{});
-  const StepField field{/*flip=*/20, {}};
+  const StepField field{/*flip=*/20};
   const adapt::Outcome outcome = refiner.Run(
       33, [](std::size_t i) { return 0.25 * static_cast<double>(i); },
       [&](std::size_t i, unsigned a) { return field(i, a); });

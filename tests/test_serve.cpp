@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -630,6 +632,38 @@ std::string TestSocketPath(const char* name) {
   return os.str();
 }
 
+/// Entries in a /proc/<pid>/fd directory: the process's open descriptors.
+std::size_t OpenFdCount(const std::string& fd_dir) {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator(fd_dir),
+                    std::filesystem::directory_iterator()));
+}
+
+/// Waits up to 1 s for `fd_dir` to shrink back to `baseline` entries
+/// (the last session is reaped on the accept loop's next poll timeout),
+/// then returns the final count.
+std::size_t SettledFdCount(const std::string& fd_dir, std::size_t baseline) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::size_t count = OpenFdCount(fd_dir);
+  while (count > baseline && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = OpenFdCount(fd_dir);
+  }
+  return count;
+}
+
+/// VmSize of this process in KiB.
+std::uint64_t VmSizeKib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0;
+}
+
 TEST(ServeServer, EndToEndDoneMatchesDirectBuildByteForByte) {
   TestRegistry registry;
   registry.release->set_value();  // Nothing should block in this test.
@@ -944,6 +978,29 @@ TEST(ServeServer, LoadGeneratorIsDeterministicAndCompletes) {
   EXPECT_EQ(report.failed, 0u);
   EXPECT_GT(report.throughput_rps, 0.0);
   EXPECT_LE(report.p50_seconds, report.p99_seconds);
+  server.Drain();
+}
+
+TEST(ServeServer, SequentialConnectionsAreReaped) {
+  TestRegistry registry;
+  registry.release->set_value();
+  ServerConfig config;
+  config.socket_path = TestSocketPath("reap");
+  config.registry = &registry.defs;
+  Server server(config);
+  server.Start();
+  // One round trip first, so state built on first use is in the baseline.
+  ASSERT_FALSE(Client::Connect(config.socket_path).Stats().version.empty());
+
+  const std::size_t fds_before = OpenFdCount("/proc/self/fd");
+  const std::uint64_t vm_before = VmSizeKib();
+  for (int i = 0; i < 10000; ++i) {
+    Client client = Client::Connect(config.socket_path);
+    ASSERT_FALSE(client.Stats().version.empty()) << "connection " << i;
+  }
+  // A leaked session costs one fd and one thread stack per connection.
+  EXPECT_LE(SettledFdCount("/proc/self/fd", fds_before), fds_before + 16);
+  EXPECT_LT(VmSizeKib(), vm_before + (1u << 20));  // 1 GiB.
   server.Drain();
 }
 
@@ -1463,6 +1520,32 @@ TEST(ServeFleet, NoLiveWorkerYieldsUnavailable) {
   const Event rejected = client.Submit("fig_94", true, 0);
   ASSERT_EQ(rejected.type, EventType::kRejected);
   EXPECT_EQ(rejected.body.StringOr("reason", ""), "unavailable");
+  supervisor.Drain();
+  // The killed worker never unlinked its socket; the drain must.
+  EXPECT_FALSE(std::filesystem::exists(config.socket_path + ".w0"));
+}
+
+TEST(ServeFleet, ForwardedRequestsDoNotAccumulateWorkerSessions) {
+  FleetRegistry registry(TestGatePath("fleet_reap"));  // Gate unused.
+  SupervisorConfig config = FleetConfig("fleet_reap", registry, 1);
+  Supervisor supervisor(config);
+  supervisor.Start();
+  Client client = Client::Connect(config.socket_path);
+  const ServeStats healthy = AwaitStats(client, [](const ServeStats& s) {
+    return AllWorkersHealthy(s, 1);
+  });
+  ASSERT_TRUE(AllWorkersHealthy(healthy, 1));
+  const std::string worker_fds =
+      "/proc/" + std::to_string(healthy.workers[0].pid) + "/fd";
+
+  const std::size_t fds_before = OpenFdCount(worker_fds);
+  // Each request is forwarded on a fresh worker connection, and the
+  // worker's intake rejects it.
+  for (int i = 0; i < 500; ++i) {
+    const Event rejected = client.Characterize("garbage\n", true, 0);
+    ASSERT_EQ(rejected.type, EventType::kRejected) << "request " << i;
+  }
+  EXPECT_LE(SettledFdCount(worker_fds, fds_before), fds_before + 16);
   supervisor.Drain();
 }
 
