@@ -71,8 +71,9 @@ void SleepForMs(double ms);
 
 class SweepExecutor {
  public:
-  /// Uses the process-wide SharedPool() (AMDMB_THREADS workers).
-  SweepExecutor() : pool_(&SharedPool()) {}
+  /// Uses the process-wide SharedPool() (AMDMB_THREADS workers), looked
+  /// up at each Map so that a forked child sweeps on its own pool.
+  SweepExecutor() : shared_(true) {}
 
   /// Owns a private pool of exactly `threads` workers; `threads == 1`
   /// runs every Map inline with no pool at all (the serial reference
@@ -85,6 +86,7 @@ class SweepExecutor {
   }
 
   unsigned ThreadCount() const {
+    if (shared_) return DefaultThreadCount();
     return pool_ == nullptr ? 1 : pool_->ThreadCount();
   }
 
@@ -217,12 +219,13 @@ class SweepExecutor {
     // every task's stack references alive until we return.
     const std::size_t spawned =
         std::min<std::size_t>(width - 1, n > 0 ? n - 1 : 0);
+    ThreadPool& pool = shared_ ? SharedPool() : *pool_;
     std::vector<std::future<void>> joined;
     joined.reserve(spawned);
     for (std::size_t t = 0; t < spawned; ++t) {
       auto task = std::make_shared<std::packaged_task<void()>>(worker);
       joined.push_back(task->get_future());
-      pool_->Submit([task] { (*task)(); });
+      pool.Submit([task] { (*task)(); });
     }
     worker();
     for (std::future<void>& f : joined) f.get();
@@ -236,8 +239,9 @@ class SweepExecutor {
     if (!failures.empty()) throw SweepError(std::move(failures));
   }
 
+  bool shared_ = false;  ///< SharedPool(), resolved per Map.
   std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* pool_ = nullptr;  ///< nullptr => always inline.
+  ThreadPool* pool_ = nullptr;  ///< Unless shared_: nullptr => always inline.
 };
 
 /// `config.executor` resolution used across the suite layer.

@@ -1,5 +1,7 @@
 #include "exec/thread_pool.hpp"
 
+#include <unistd.h>
+
 #include <string>
 
 #include "common/env.hpp"
@@ -63,8 +65,21 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool& SharedPool() {
-  static ThreadPool pool(DefaultThreadCount());
-  return pool;
+  // One pool per process, built on first use. A child forked after a
+  // sweep inherits the parent's pool object but none of its threads, so
+  // it builds its own on its first sweep. The inherited object is leaked,
+  // not destroyed: its std::threads are joinable, yet no thread is
+  // behind them in the child.
+  static std::mutex mutex;
+  static ThreadPool* pool = nullptr;
+  static pid_t owner = 0;
+  const pid_t pid = ::getpid();
+  const std::lock_guard lock(mutex);
+  if (pool == nullptr || owner != pid) {
+    pool = new ThreadPool(DefaultThreadCount());
+    owner = pid;
+  }
+  return *pool;
 }
 
 }  // namespace amdmb::exec

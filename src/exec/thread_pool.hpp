@@ -57,7 +57,7 @@ class ThreadPool {
 };
 
 /// The process-wide pool, created on first use with DefaultThreadCount()
-/// workers.
+/// workers. A forked child gets a fresh pool on its first call.
 ThreadPool& SharedPool();
 
 }  // namespace amdmb::exec

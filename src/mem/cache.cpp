@@ -1,67 +1,95 @@
 #include "mem/cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/status.hpp"
 #include "prof/collector.hpp"
 
 namespace amdmb::mem {
 
-TextureCache::TextureCache(const CacheConfig& config) : config_(config) {
+namespace {
+
+unsigned SetCountOf(const CacheConfig& config) {
   Require(config.line_bytes > 0 && config.associativity > 0,
           "TextureCache: line size and associativity must be positive");
   const auto lines = config.size_bytes / config.line_bytes;
   Require(lines >= config.associativity,
           "TextureCache: capacity below one full set");
-  set_count_ = static_cast<unsigned>(lines / config.associativity);
-  Require(!config.two_d_index || (set_count_ >= 2 && set_count_ % 2 == 0),
+  const auto sets = static_cast<unsigned>(lines / config.associativity);
+  Require(!config.two_d_index || (sets >= 2 && sets % 2 == 0),
           "TextureCache: 2-D indexing needs an even set count");
-  if ((config.line_bytes & (config.line_bytes - 1)) == 0) {
-    int shift = 0;
-    while ((Bytes{1} << shift) < config.line_bytes) ++shift;
-    line_shift_ = shift;
-  }
-  ways_.assign(static_cast<std::size_t>(set_count_) * config.associativity,
-               Way{});
+  return sets;
 }
 
-unsigned TextureCache::SetIndex(std::uint64_t line_number,
-                                const LineId& line) const {
-  if (!config_.two_d_index) {
-    return static_cast<unsigned>(line_number % set_count_);
+}  // namespace
+
+TextureCache::TextureCache(const CacheConfig& config)
+    : config_(config),
+      set_count_(SetCountOf(config)),
+      group_sets_(config.two_d_index ? set_count_ / 2 : set_count_),
+      set_in_group_(group_sets_) {
+  if (std::has_single_bit(config.line_bytes)) {
+    line_shift_ = std::countr_zero(config.line_bytes);
   }
-  // Two set groups selected by the tile-row parity; the line address
-  // indexes within a group. A pattern that stays on one tile row (64x1
-  // blocks) touches only one group => half the effective capacity.
-  const unsigned group = line.tile_row & 1u;
-  const unsigned half = set_count_ / 2;
-  return static_cast<unsigned>(line_number % half) + group * half;
+  tags_.assign(static_cast<std::size_t>(set_count_) * config.associativity,
+               kInvalid);
+}
+
+// Inline so that ProbeLines, the per-fetch loop, runs without a call
+// per line.
+inline bool TextureCache::ProbeAt(std::uint64_t address,
+                                  std::uint32_t tile_row) {
+  const std::uint64_t tag = LineNumber(address);
+  const unsigned set = SetIndex(tag, tile_row);
+  std::uint64_t* const ways =
+      &tags_[static_cast<std::size_t>(set) * config_.associativity];
+  // Recency order makes LRU a shift: a hit moves its tag to the front; a
+  // miss drops the last tag (a never-filled way while one is left, else
+  // the least recently used) and puts the new one in front. One pass
+  // does both: each way takes the tag before it until the probed tag
+  // turns up.
+  bool hit = false;
+  std::uint64_t carry = tag;
+  for (unsigned w = 0; w < config_.associativity; ++w) {
+    const std::uint64_t resident = ways[w];
+    ways[w] = carry;
+    if (resident == tag) {
+      hit = true;
+      break;
+    }
+    carry = resident;
+  }
+  if (hit) {
+    ++stats_.hits;
+  } else {
+    ++stats_.misses;
+  }
+  if (collector_ != nullptr) collector_->OnCacheProbe(set, hit);
+  return hit;
 }
 
 bool TextureCache::Probe(const LineId& line) {
-  const std::uint64_t tag = LineNumber(line.address);
-  const unsigned set = SetIndex(tag, line);
-  Way* begin = &ways_[static_cast<std::size_t>(set) * config_.associativity];
-  Way* end = begin + config_.associativity;
-  ++tick_;
-  Way* victim = begin;
-  for (Way* w = begin; w != end; ++w) {
-    if (w->tag == tag) {
-      w->lru = tick_;
-      ++stats_.hits;
-      if (collector_ != nullptr) collector_->OnCacheProbe(set, true);
-      return true;
+  return ProbeAt(line.address, line.tile_row);
+}
+
+unsigned TextureCache::ProbeLines(std::uint64_t base,
+                                  std::span<const LineId> lines,
+                                  std::vector<std::uint64_t>& misses) {
+  unsigned hits = 0;
+  for (const LineId& line : lines) {
+    const std::uint64_t address = base + line.address;
+    if (ProbeAt(address, line.tile_row)) {
+      ++hits;
+    } else {
+      misses.push_back(address);
     }
-    if (w->lru < victim->lru) victim = w;
   }
-  victim->tag = tag;
-  victim->lru = tick_;
-  ++stats_.misses;
-  if (collector_ != nullptr) collector_->OnCacheProbe(set, false);
-  return false;
+  return hits;
 }
 
 void TextureCache::Reset() {
-  for (Way& w : ways_) w = Way{};
-  tick_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kInvalid);
   stats_ = CacheStats{};
 }
 

@@ -1,6 +1,7 @@
 #include "mem/dram.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/status.hpp"
@@ -11,6 +12,10 @@ namespace amdmb::mem {
 MemoryController::MemoryController(const GpuArch& arch) : arch_(&arch) {
   Require(arch.dram.banks > 0 && arch.dram.row_bytes > 0,
           "MemoryController: bank/row geometry must be positive");
+  if (std::has_single_bit(arch.dram.row_bytes)) {
+    row_shift_ = std::countr_zero(arch.dram.row_bytes);
+  }
+  if (std::has_single_bit(arch.dram.banks)) bank_mask_ = arch.dram.banks - 1;
   open_rows_.assign(arch.dram.banks, ~0ull);
 }
 
@@ -22,9 +27,13 @@ void MemoryController::Reset() {
 
 Cycles MemoryController::RowPenalty(std::span<const std::uint64_t> addrs) {
   Cycles penalty = 0;
-  for (std::uint64_t addr : addrs) {
-    const std::uint64_t row = addr / arch_->dram.row_bytes;
-    const auto bank = static_cast<std::size_t>(row % arch_->dram.banks);
+  std::uint64_t prev_row = 0;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    const std::uint64_t row = RowOf(addrs[i]);
+    // The previous address left this row open in its bank.
+    if (i > 0 && row == prev_row) continue;
+    prev_row = row;
+    const std::size_t bank = BankOf(row);
     if (open_rows_[bank] != row) {
       open_rows_[bank] = row;
       penalty += arch_->dram.row_switch_cycles;

@@ -78,8 +78,20 @@ class MemoryController {
   BatchResult Serve(Cycles now, double bytes_per_cycle, Cycles overhead,
                     Bytes bytes, Cycles extra, prof::DramOp op);
   Cycles RowPenalty(std::span<const std::uint64_t> addrs);
+  /// DRAM row of `addr` and the bank that row maps to: a shift and a
+  /// mask when row_bytes and banks are powers of two (they are on every
+  /// part), else a division.
+  std::uint64_t RowOf(std::uint64_t addr) const {
+    return row_shift_ >= 0 ? addr >> row_shift_ : addr / arch_->dram.row_bytes;
+  }
+  std::size_t BankOf(std::uint64_t row) const {
+    return static_cast<std::size_t>(bank_mask_ != 0 ? row & bank_mask_
+                                                    : row % arch_->dram.banks);
+  }
 
   const GpuArch* arch_;
+  int row_shift_ = -1;          ///< log2(row_bytes), or -1.
+  std::uint64_t bank_mask_ = 0; ///< banks - 1 for power-of-two banks > 1, else 0.
   Cycles free_at_ = 0;
   std::vector<std::uint64_t> open_rows_;
   DramStats stats_;

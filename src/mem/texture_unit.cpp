@@ -23,11 +23,12 @@ Cycles TextureUnitBlock::ServicePerFetch(DataType type,
 
 TexClauseTiming TextureUnitBlock::ServeClause(
     Cycles now, DataType type, unsigned active_threads,
-    std::span<const std::vector<LineId>> lines_per_fetch) {
+    std::span<const LineId> tile_lines,
+    std::span<const std::uint64_t> fetch_bases) {
   TexClauseTiming t;
   t.start = std::max(now, free_at_);
   const Cycles per_fetch = ServicePerFetch(type, active_threads);
-  const Cycles service = per_fetch * lines_per_fetch.size();
+  const Cycles service = per_fetch * fetch_bases.size();
   free_at_ = t.start + service;
   t.service_end = free_at_;
   busy_ += service;
@@ -38,17 +39,10 @@ TexClauseTiming TextureUnitBlock::ServeClause(
   // (rounded-up) transaction per fetch instruction.
   Cycles last_fill_end = 0;
   fill_addrs_.clear();
-  for (const std::vector<LineId>& lines : lines_per_fetch) {
-    bool instr_missed = false;
-    for (const LineId& line : lines) {
-      if (!cache_->Probe(line)) {
-        fill_addrs_.push_back(line.address);
-        instr_missed = true;
-      } else {
-        ++t.line_hits;
-      }
-    }
-    if (instr_missed) ++t.miss_instrs;
+  for (const std::uint64_t base : fetch_bases) {
+    const std::size_t missed_before = fill_addrs_.size();
+    t.line_hits += cache_->ProbeLines(base, tile_lines, fill_addrs_);
+    if (fill_addrs_.size() != missed_before) ++t.miss_instrs;
   }
   if (!fill_addrs_.empty()) {
     t.line_misses = static_cast<unsigned>(fill_addrs_.size());

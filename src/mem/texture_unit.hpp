@@ -41,13 +41,16 @@ class TextureUnitBlock {
   TextureUnitBlock(const GpuArch& arch, TextureCache& cache,
                    MemoryController& controller);
 
-  /// Serves one TEX clause. `lines_per_fetch[i]` holds the distinct cache
-  /// lines touched by fetch instruction i for this wavefront's footprint;
-  /// `active_threads` is the wavefront population (64 unless the domain
-  /// edge truncated it).
-  TexClauseTiming ServeClause(
-      Cycles now, DataType type, unsigned active_threads,
-      std::span<const std::vector<LineId>> lines_per_fetch);
+  /// Serves one TEX clause. `tile_lines` holds the distinct cache lines
+  /// of this wavefront's footprint in a texture at base address 0 (see
+  /// TiledLayout); fetch instruction i reads the texture at
+  /// `fetch_bases[i]`, so it touches {fetch_bases[i] + line.address,
+  /// line.tile_row} for each of them. `active_threads` is the wavefront
+  /// population (64 unless the domain edge truncated it).
+  TexClauseTiming ServeClause(Cycles now, DataType type,
+                              unsigned active_threads,
+                              std::span<const LineId> tile_lines,
+                              std::span<const std::uint64_t> fetch_bases);
 
   /// Cycles the units spent streaming data (service only).
   Cycles BusyCycles() const { return busy_; }

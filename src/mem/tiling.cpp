@@ -19,12 +19,8 @@ TileShape TileFor(Bytes line_bytes, Bytes element_bytes) {
   return TileShape{width, height};
 }
 
-TiledLayout::TiledLayout(std::uint64_t base_address, unsigned width_texels,
-                         TileShape tile, Bytes line_bytes)
-    : base_(base_address),
-      tile_(tile),
-      line_bytes_(line_bytes),
-      tiles_per_row_((width_texels + tile.width - 1) / tile.width) {
+TiledLayout::TiledLayout(TileShape tile, Bytes line_bytes)
+    : tile_(tile), line_bytes_(line_bytes) {
   Require(tile.width > 0 && tile.height > 0, "TiledLayout: empty tile");
 }
 
@@ -40,18 +36,29 @@ constexpr std::uint64_t SpreadBits(std::uint64_t v) {
   return v;
 }
 
-}  // namespace
-
-LineId TiledLayout::LineOf(unsigned x, unsigned y) const {
-  const unsigned tile_col = x / tile_.width;
-  const unsigned tile_row = y / tile_.height;
-  // Tiles are laid out in Morton (Z-) order, the standard GPU texture
-  // tiling: 2-D locality in texel space maps to 1-D locality in the
-  // address space, which keeps a wavefront's line fills within few DRAM
-  // rows regardless of its block shape.
+/// Line of the tile at (tile_col, tile_row). Tiles are laid out in
+/// Morton (Z-) order, the standard GPU texture tiling: 2-D locality in
+/// texel space maps to 1-D locality in the address space, which keeps a
+/// wavefront's line fills within few DRAM rows regardless of its block
+/// shape.
+LineId TileLine(unsigned tile_col, unsigned tile_row, Bytes line_bytes) {
   const std::uint64_t tile_index =
       SpreadBits(tile_col) | (SpreadBits(tile_row) << 1);
-  return LineId{base_ + tile_index * line_bytes_, tile_row};
+  return LineId{tile_index * line_bytes, tile_row};
+}
+
+}  // namespace
+
+void TiledLayout::AppendLines(unsigned x, unsigned y, unsigned width,
+                              unsigned height,
+                              std::vector<LineId>& out) const {
+  const unsigned x1 = x + width - 1;
+  const unsigned y1 = y + height - 1;
+  for (unsigned ty = y / tile_.height; ty <= y1 / tile_.height; ++ty) {
+    for (unsigned tx = x / tile_.width; tx <= x1 / tile_.width; ++tx) {
+      out.push_back(TileLine(tx, ty, line_bytes_));
+    }
+  }
 }
 
 std::uint64_t LinearAddress(std::uint64_t base, unsigned width, unsigned x,

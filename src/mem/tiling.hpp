@@ -33,23 +33,23 @@ struct LineId {
   bool operator==(const LineId&) const = default;
 };
 
-/// Maps texel coordinates of a W x H texture at `base_address` to line
-/// ids under the given tile shape.
+/// Maps texel coordinates to the cache lines of a tiled texture at base
+/// address 0. Every texture of a launch shares one tile geometry, so a
+/// texture at base B holds line {B + line.address, line.tile_row}.
 class TiledLayout {
  public:
-  TiledLayout(std::uint64_t base_address, unsigned width_texels,
-              TileShape tile, Bytes line_bytes);
+  TiledLayout(TileShape tile, Bytes line_bytes);
 
-  LineId LineOf(unsigned x, unsigned y) const;
+  /// Appends the distinct lines of the texel rectangle at (x, y) of the
+  /// given size, in row-major tile order.
+  void AppendLines(unsigned x, unsigned y, unsigned width, unsigned height,
+                   std::vector<LineId>& out) const;
 
-  /// Number of distinct lines a W-texel-wide texture occupies per tile row.
-  unsigned TilesPerRow() const { return tiles_per_row_; }
+  const TileShape& Tile() const { return tile_; }
 
  private:
-  std::uint64_t base_;
   TileShape tile_;
   Bytes line_bytes_;
-  unsigned tiles_per_row_;
 };
 
 /// Row-major linear address of element (x, y) in a W-wide global buffer.

@@ -136,17 +136,11 @@ KernelStats Gpu::Execute(const isa::Program& program,
     }
   }
 
-  // Scratch for the texture-line footprints of one TEX clause, sized
-  // once for the widest clause of the program; clear() inside the loop
-  // keeps each inner vector's capacity, so the steady state allocates
-  // nothing per clause.
-  std::size_t max_clause_fetches = 0;
-  for (const isa::Clause& c : program.clauses) {
-    if (c.type == isa::ClauseType::kTex) {
-      max_clause_fetches = std::max(max_clause_fetches, c.fetches.size());
-    }
-  }
-  std::vector<std::vector<mem::LineId>> lines_scratch(max_clause_fetches);
+  // Scratch for one TEX clause: the wavefront's tile footprint, shared
+  // by every fetch, and each fetch's texture base. clear() keeps the
+  // capacity, so the steady state allocates nothing per clause.
+  std::vector<mem::LineId> tile_lines;
+  std::vector<std::uint64_t> fetch_bases;
   Cycles t_end = 0;
   Cycles fetch_wait = 0;  // Wavefront time spent inside fetch clauses.
 
@@ -199,14 +193,15 @@ KernelStats Gpu::Execute(const isa::Program& program,
         break;
       }
       case isa::ClauseType::kTex: {
-        for (std::size_t f = 0; f < clause.fetches.size(); ++f) {
-          lines_scratch[f].clear();
-          layouts.LinesFor(clause.fetches[f].resource, rect,
-                           lines_scratch[f]);
+        tile_lines.clear();
+        layouts.TileLinesFor(rect, tile_lines);
+        fetch_bases.clear();
+        for (const isa::FetchInst& f : clause.fetches) {
+          fetch_bases.push_back(layouts.TextureBase(f.resource));
         }
         const mem::TexClauseTiming timing = simd.TextureUnits().ServeClause(
-            e.t, program.sig.type, rect.ThreadCount(),
-            std::span(lines_scratch.data(), clause.fetches.size()));
+            e.t, program.sig.type, rect.ThreadCount(), tile_lines,
+            fetch_bases);
         served_at = timing.start;
         done = timing.complete;
         fetch_wait += done - e.t;

@@ -27,18 +27,17 @@ std::uint64_t RegionStride(const Domain& domain, const mem::TileShape& tile,
 ResourceLayouts::ResourceLayouts(const GpuArch& arch, const il::Signature& sig,
                                  const Domain& domain)
     : type_(sig.type),
-      line_bytes_(arch.l1.line_bytes),
-      tile_(mem::TileFor(arch.l1.line_bytes, ElementBytes(sig.type))),
+      tiled_(mem::TileFor(arch.l1.line_bytes, ElementBytes(sig.type)),
+             arch.l1.line_bytes),
       width_(domain.width) {
   Require(domain.width > 0 && domain.height > 0,
           "ResourceLayouts: empty domain");
-  const std::uint64_t stride = RegionStride(domain, tile_, line_bytes_);
+  const std::uint64_t stride =
+      RegionStride(domain, tiled_.Tile(), arch.l1.line_bytes);
   // Inputs first, then outputs, in one address space.
   constexpr std::uint64_t kInputBase = 0x1000'0000ull;
   for (unsigned i = 0; i < sig.inputs; ++i) {
-    const std::uint64_t base = kInputBase + i * stride;
-    input_bases_.push_back(base);
-    input_layouts_.emplace_back(base, domain.width, tile_, line_bytes_);
+    input_bases_.push_back(kInputBase + i * stride);
   }
   const std::uint64_t output_base = kInputBase + sig.inputs * stride;
   for (unsigned o = 0; o < sig.outputs; ++o) {
@@ -46,18 +45,10 @@ ResourceLayouts::ResourceLayouts(const GpuArch& arch, const il::Signature& sig,
   }
 }
 
-void ResourceLayouts::LinesFor(unsigned resource, const WaveRect& rect,
-                               std::vector<mem::LineId>& out) const {
-  Check(resource < input_layouts_.size(),
-        "ResourceLayouts::LinesFor: resource out of range");
-  const mem::TiledLayout& layout = input_layouts_[resource];
-  const unsigned x1 = rect.x + rect.width - 1;
-  const unsigned y1 = rect.y + rect.height - 1;
-  for (unsigned ty = rect.y / tile_.height; ty <= y1 / tile_.height; ++ty) {
-    for (unsigned tx = rect.x / tile_.width; tx <= x1 / tile_.width; ++tx) {
-      out.push_back(layout.LineOf(tx * tile_.width, ty * tile_.height));
-    }
-  }
+std::uint64_t ResourceLayouts::TextureBase(unsigned resource) const {
+  Check(resource < input_bases_.size(),
+        "ResourceLayouts::TextureBase: resource out of range");
+  return input_bases_[resource];
 }
 
 std::uint64_t ResourceLayouts::GlobalAddress(unsigned resource, bool is_output,

@@ -23,10 +23,16 @@ class ResourceLayouts {
   ResourceLayouts(const GpuArch& arch, const il::Signature& sig,
                   const Domain& domain);
 
-  /// Appends the distinct cache lines input `resource` contributes for a
-  /// wavefront covering `rect` (texture path only).
-  void LinesFor(unsigned resource, const WaveRect& rect,
-                std::vector<mem::LineId>& out) const;
+  /// Appends the distinct cache lines a wavefront covering `rect` reads
+  /// from a texture at base address 0. Every texture input shares this
+  /// footprint; input i's lines are offset by TextureBase(i).
+  void TileLinesFor(const WaveRect& rect,
+                    std::vector<mem::LineId>& out) const {
+    tiled_.AppendLines(rect.x, rect.y, rect.width, rect.height, out);
+  }
+
+  /// Base address of input `resource` (texture path only).
+  std::uint64_t TextureBase(unsigned resource) const;
 
   /// Burst start address for a global read/write of `resource` by `rect`.
   std::uint64_t GlobalAddress(unsigned resource, bool is_output,
@@ -41,9 +47,7 @@ class ResourceLayouts {
 
  private:
   DataType type_;
-  Bytes line_bytes_;
-  mem::TileShape tile_;
-  std::vector<mem::TiledLayout> input_layouts_;  ///< Texture path only.
+  mem::TiledLayout tiled_;
   std::vector<std::uint64_t> input_bases_;
   std::vector<std::uint64_t> output_bases_;
   unsigned width_;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -232,7 +233,8 @@ std::string DiagonalField(std::size_t ix, std::size_t iy) {
 TEST(FrontierTest, QuadrantRefinementMatchesDenseLabels) {
   adapt::FrontierConfig config;
   const auto x_of = [](std::size_t i) { return static_cast<double>(i); };
-  std::size_t spent = 0;
+  // Incremented from the default executor's pool threads.
+  std::atomic<std::size_t> spent = 0;
   config.dense = false;
   const adapt::FrontierResult adaptive = adapt::RefineGrid(
       9, 8, x_of, x_of,

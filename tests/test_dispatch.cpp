@@ -79,14 +79,18 @@ TEST(ResourceLayoutsTest, LinesForCoverRectFootprint) {
   const ResourceLayouts layouts(arch, sig, Domain{64, 64});
 
   std::vector<mem::LineId> lines;
-  layouts.LinesFor(0, WaveRect{0, 0, 8, 8}, lines);
+  layouts.TileLinesFor(WaveRect{0, 0, 8, 8}, lines);
   EXPECT_EQ(lines.size(), 4u);  // 8x8 texels over 4x4 tiles.
   lines.clear();
-  layouts.LinesFor(0, WaveRect{0, 0, 64, 1}, lines);
+  layouts.TileLinesFor(WaveRect{0, 0, 64, 1}, lines);
   EXPECT_EQ(lines.size(), 16u);  // 64x1 strip: 16 partially-used tiles.
   lines.clear();
-  layouts.LinesFor(0, WaveRect{0, 0, 4, 16}, lines);
+  layouts.TileLinesFor(WaveRect{0, 0, 4, 16}, lines);
   EXPECT_EQ(lines.size(), 4u);  // 4x16 block: 4 fully-used tiles.
+  // The footprint is shared; only the base tells the inputs apart, and
+  // a resource outside the signature is caught.
+  EXPECT_NE(layouts.TextureBase(0), layouts.TextureBase(1));
+  EXPECT_THROW(layouts.TextureBase(2), SimError);
 }
 
 TEST(ResourceLayoutsTest, Float4FootprintsAreLarger) {
@@ -97,7 +101,7 @@ TEST(ResourceLayoutsTest, Float4FootprintsAreLarger) {
   sig.type = DataType::kFloat4;
   const ResourceLayouts layouts(arch, sig, Domain{64, 64});
   std::vector<mem::LineId> lines;
-  layouts.LinesFor(0, WaveRect{0, 0, 8, 8}, lines);
+  layouts.TileLinesFor(WaveRect{0, 0, 8, 8}, lines);
   EXPECT_EQ(lines.size(), 16u);  // 8x8 texels over 2x2 tiles.
   EXPECT_EQ(layouts.BytesFor(WaveRect{0, 0, 8, 8}), 64u * 16);
 }
@@ -110,11 +114,12 @@ TEST(ResourceLayoutsTest, DistinctResourcesDoNotShareLines) {
   sig.type = DataType::kFloat;
   const ResourceLayouts layouts(arch, sig, Domain{64, 64});
   std::set<std::uint64_t> addrs;
+  std::vector<mem::LineId> lines;
+  layouts.TileLinesFor(WaveRect{0, 0, 64, 64}, lines);
   for (unsigned r = 0; r < 3; ++r) {
-    std::vector<mem::LineId> lines;
-    layouts.LinesFor(r, WaveRect{0, 0, 64, 64}, lines);
     for (const mem::LineId& l : lines) {
-      EXPECT_TRUE(addrs.insert(l.address).second) << "resource " << r;
+      EXPECT_TRUE(addrs.insert(layouts.TextureBase(r) + l.address).second)
+          << "resource " << r;
     }
   }
   // Outputs get their own regions too.

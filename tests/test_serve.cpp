@@ -29,6 +29,7 @@
 
 #include "adapt/refiner.hpp"
 #include "common/status.hpp"
+#include "exec/sweep_executor.hpp"
 #include "fault/fault.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/intake.hpp"
@@ -2000,6 +2001,43 @@ TEST(ServeFleet, CharacterizeRoutesThroughWorkersByContentHash) {
   ASSERT_EQ(rejected.type, EventType::kRejected);
   EXPECT_EQ(rejected.body.StringOr("reason", ""), "invalid_kernel");
   EXPECT_EQ(rejected.body.StringOr("code", ""), "parse_error");
+  supervisor.Drain();
+}
+
+// A worker forked after this process ran a multi-point sweep inherits
+// the shared pool object without its threads; unless the worker builds
+// a pool of its own, its first sweep blocks forever.
+TEST(ServeFleet, WorkerForkedAfterASweepCanSweep) {
+  const auto square = [](std::size_t i) { return i * i; };
+  ASSERT_EQ(exec::SweepExecutor::Default().Map(8, square).back(), 49u);
+
+  FleetRegistry registry(TestGatePath("fleet_fork"));  // Gate unused.
+  FigureDef sweep;
+  sweep.slug = "fig_97";
+  sweep.bench_prefix = "Fig97";
+  sweep.id = sweep.title = "Fig. 97 — Fleet Sweep";
+  sweep.x_label = sweep.y_label = "x";
+  sweep.paper_claim = "none";
+  sweep.what = "fleet test fixture";
+  sweep.curves.push_back(
+      {"squares", [square](report::Figure& figure, const RunOptions&) {
+         const auto values = exec::SweepExecutor::Default().Map(8, square);
+         figure.set.Get("squares").Add(1.0, static_cast<double>(values[7]));
+         return 1.0;
+       }});
+  registry.defs.push_back(std::move(sweep));
+  SupervisorConfig config = FleetConfig("fleet_fork", registry, 1);
+  config.deadline_ms = 20000;  // A hung worker fails the test, not ctest.
+  Supervisor supervisor(config);
+  supervisor.Start();
+  Client client = Client::Connect(config.socket_path);
+  AwaitStats(client,
+             [](const ServeStats& s) { return AllWorkersHealthy(s, 1); });
+  const Event terminal = client.Submit("fig_97", true, 0);
+  // A worker stuck in its sweep would never answer the drain below.
+  if (terminal.type != EventType::kDone) client.KillWorker(0);
+  EXPECT_EQ(terminal.type, EventType::kDone)
+      << terminal.body.StringOr("message", "");
   supervisor.Drain();
 }
 
