@@ -41,14 +41,12 @@ void Register() {
           RunReadLatency(r_off, ShaderMode::kCompute, type, Config());
       Series& s1 = g_sink.Set().Get("4870 64x1 " + type_name + " 2D-index");
       Series& s2 = g_sink.Set().Get("4870 64x1 " + type_name + " flat-index");
-      bench::NoteFaults(g_sink, "4870 " + type_name + " 2D-index",
-                        with_2d.report);
-      bench::NoteProfiles(g_sink, "4870 " + type_name + " 2D-index",
-                          with_2d.points);
-      bench::NoteFaults(g_sink, "4870 " + type_name + " flat-index",
-                        without_2d.report);
-      bench::NoteProfiles(g_sink, "4870 " + type_name + " flat-index",
-                          without_2d.points);
+      const std::string on_curve = "4870 " + type_name + " 2D-index";
+      const std::string off_curve = "4870 " + type_name + " flat-index";
+      figures::NoteFaults(g_sink.Record(), on_curve, with_2d.report);
+      figures::NoteProfiles(g_sink.Record(), on_curve, with_2d.points);
+      figures::NoteFaults(g_sink.Record(), off_curve, without_2d.report);
+      figures::NoteProfiles(g_sink.Record(), off_curve, without_2d.points);
       double max_gap = 0;
       const std::size_t paired =
           std::min(with_2d.points.size(), without_2d.points.size());

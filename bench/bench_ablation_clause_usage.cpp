@@ -34,26 +34,21 @@ void Register() {
           runner, ShaderMode::kPixel, DataType::kFloat, Config(true));
       Series& s1 = g_sink.Set().Get(arch.name + " register kernel");
       Series& s2 = g_sink.Set().Get(arch.name + " clause control");
-      bench::NoteFaults(g_sink, arch.name + " register kernel",
-                        sweep.report);
-      bench::NoteProfiles(g_sink, arch.name + " register kernel",
-                          sweep.points);
-      bench::NoteFaults(g_sink, arch.name + " clause control",
-                        control.report);
-      bench::NoteProfiles(g_sink, arch.name + " clause control",
-                          control.points);
-      double cmin = 1e30, cmax = 0;
+      figures::NoteFaults(g_sink.Record(), arch.name + " register kernel",
+                          sweep.report);
+      figures::NoteProfiles(g_sink.Record(), arch.name + " register kernel",
+                            sweep.points);
+      figures::NoteFaults(g_sink.Record(), arch.name + " clause control",
+                          control.report);
+      figures::NoteProfiles(g_sink.Record(), arch.name + " clause control",
+                            control.points);
       for (const RegisterUsagePoint& p : sweep.points) {
         s1.Add(p.step, p.m.seconds);
       }
       for (const RegisterUsagePoint& p : control.points) {
         s2.Add(p.step, p.m.seconds);
-        cmin = std::min(cmin, p.m.seconds);
-        cmax = std::max(cmax, p.m.seconds);
       }
       if (sweep.points.empty() || control.points.empty()) return 0.0;
-      (void)cmin;
-      (void)cmax;
       g_sink.Add({report::FindingKind::kRatio,
                   arch.name + " register kernel", "register_speedup",
                   sweep.points.front().m.seconds /

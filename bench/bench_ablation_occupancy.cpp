@@ -36,8 +36,10 @@ void Register() {
       for (const RegisterUsagePoint& p : r.points) {
         series.Add(p.gpr_count, p.m.seconds);
       }
-      bench::NoteFaults(g_sink, "cap=" + std::to_string(cap), r.report);
-      bench::NoteProfiles(g_sink, "cap=" + std::to_string(cap), r.points);
+      figures::NoteFaults(g_sink.Record(), "cap=" + std::to_string(cap),
+                          r.report);
+      figures::NoteProfiles(g_sink.Record(), "cap=" + std::to_string(cap),
+                            r.points);
       if (r.points.empty()) return 0.0;
       g_sink.Add({report::FindingKind::kRatio, "cap=" + std::to_string(cap),
                   "sweep_improvement",

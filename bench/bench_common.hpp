@@ -39,7 +39,6 @@
 #include "amdmb.hpp"
 #include "common/env.hpp"
 #include "common/interrupt.hpp"
-#include "exec/run_report.hpp"
 #include "report/csv_sink.hpp"
 #include "report/gnuplot_sink.hpp"
 #include "report/json_sink.hpp"
@@ -119,31 +118,6 @@ class FigureSink {
 
   report::Figure figure_;
 };
-
-/// Converts every non-ok point of `report` into a typed Degradation on
-/// the sink's record, attributed to `curve`.
-inline void NoteFaults(FigureSink& sink, const std::string& curve,
-                       const exec::RunReport& report) {
-  for (report::Degradation& d : report::DegradationsFrom(report, curve)) {
-    sink.Record().degradations.push_back(std::move(d));
-  }
-}
-
-/// Converts every profiled point of a sweep into a typed ProfileEntry
-/// on the sink's record, attributed to `curve` and cross-checked
-/// against the heuristic classification of the same launch. A no-op
-/// when profiling was off (every Measurement::profile is null), so
-/// unprofiled bench output is byte-identical to before the profiler.
-template <typename Points>
-inline void NoteProfiles(FigureSink& sink, const std::string& curve,
-                         const Points& points) {
-  for (const auto& point : points) {
-    if (point.m.profile == nullptr) continue;
-    sink.Record().profiles.push_back(report::MakeProfileEntry(
-        curve, *point.m.profile,
-        sim::ToString(point.m.stats.bottleneck)));
-  }
-}
 
 /// Registers one google-benchmark that runs `body` once and records the
 /// simulated seconds it reports as the "sim_seconds" counter.

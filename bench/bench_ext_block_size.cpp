@@ -36,8 +36,8 @@ void Register() {
           series.Add(std::log2(static_cast<double>(p.block.x)),
                      p.m.seconds);
         }
-        bench::NoteFaults(g_sink, key.Name(), r.report);
-        bench::NoteProfiles(g_sink, key.Name(), r.points);
+        figures::NoteFaults(g_sink.Record(), key.Name(), r.report);
+        figures::NoteProfiles(g_sink.Record(), key.Name(), r.points);
         if (r.points.empty()) return 0.0;
         g_sink.Add(Findings(r, key.Name()));
         return r.best_seconds;

@@ -1,7 +1,7 @@
 // Interactive kernel explorer: build any suite kernel from the command
 // line, run it on any simulated GPU, and inspect everything the library
-// exposes — IL, ISA disassembly, SKA statics, dynamic counters,
-// bottleneck, and advice.
+// exposes — IL, ISA disassembly, SKA statics, dynamic counters, the
+// hardware-counter profile, bottleneck, and advice.
 //
 // Usage:
 //   ./example_kernel_explorer [options]
@@ -17,7 +17,8 @@
 //     --write P         stream | global                (default stream)
 //     --il-file PATH    load the kernel from IL text instead of
 //                       generating it (see il::Parse)
-//     --trace           print the execution trace summary + head
+//     --trace           profile the launch and print the profile (with
+//                       AMDMB_TRACE_DIR set, also write its Chrome trace)
 //     --show-il / --show-isa   print the program text
 #include <cstring>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "amdmb.hpp"
+#include "report/sink.hpp"
 
 namespace {
 
@@ -57,7 +59,6 @@ int main(int argc, char** argv) {
   sim::LaunchConfig launch;
   bool show_il = false;
   bool show_isa = false;
-  bool show_trace = false;
   std::string il_file;
 
   for (int i = 1; i < argc; ++i) {
@@ -95,7 +96,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--il-file") {
       il_file = next();
     } else if (arg == "--trace") {
-      show_trace = true;
+      launch.profile = true;
     } else if (arg == "--show-il") {
       show_il = true;
     } else if (arg == "--show-isa") {
@@ -110,6 +111,9 @@ int main(int argc, char** argv) {
   spec.alu_ops = suite::AluOpsForRatio(ratio, spec.inputs);
 
   try {
+    if (const std::string dir = prof::TraceDirectory(); !dir.empty()) {
+      report::EnsureWritableDirectory(dir, "AMDMB_TRACE_DIR");
+    }
     const cal::Device device = cal::Device::Open(gpu);
     cal::Context ctx(device);
     il::Kernel kernel;
@@ -128,14 +132,9 @@ int main(int argc, char** argv) {
     if (show_isa) std::cout << module.Disassemble() << "\n";
     std::cout << module.Ska().Render() << "\n";
 
-    sim::Trace trace;
-    const cal::RunEvent ev =
-        ctx.Run(module, launch, show_trace ? &trace : nullptr);
+    const cal::RunEvent ev = ctx.Run(module, launch);
     std::cout << ev.stats.Render() << "\n";
-    if (show_trace) {
-      std::cout << trace.RenderSummary() << "\n"
-                << trace.RenderTimeline(20) << "\n";
-    }
+    if (ev.profile != nullptr) std::cout << ev.profile->Render() << "\n";
 
     suite::Measurement m;
     m.seconds = ev.seconds;

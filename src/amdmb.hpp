@@ -32,5 +32,4 @@
 #include "report/record.hpp"      // IWYU pragma: export
 #include "report/series.hpp"      // IWYU pragma: export
 #include "sim/gpu.hpp"            // IWYU pragma: export
-#include "sim/trace.hpp"          // IWYU pragma: export
 #include "suite/suite.hpp"        // IWYU pragma: export

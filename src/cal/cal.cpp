@@ -1,5 +1,7 @@
 #include "cal/cal.hpp"
 
+#include "common/env.hpp"
+#include "prof/chrome_trace.hpp"
 #include "prof/collector.hpp"
 
 namespace amdmb::cal {
@@ -22,8 +24,14 @@ Module Context::Compile(const il::Kernel& kernel,
 }
 
 RunEvent Context::Run(const Module& module, const sim::LaunchConfig& config,
-                      sim::Trace* trace, const CallContext& call) {
-  const std::string_view point = call.point;
+                      const CallContext& call) {
+  return Launch(*gpu_, module.Program(), config, call);
+}
+
+RunEvent Launch(const sim::Gpu& gpu, const isa::Program& program,
+                const sim::LaunchConfig& config, const CallContext& call) {
+  const std::string_view point =
+      call.point.empty() ? std::string_view(program.name) : call.point;
   CheckInjectedFault(fault::FaultSite::kLaunch, point, call.attempt);
   CheckInjectedFault(fault::FaultSite::kHang, point, call.attempt);
   sim::LaunchConfig bounded = config;
@@ -34,12 +42,11 @@ RunEvent Context::Run(const Module& module, const sim::LaunchConfig& config,
   // counters, so retries can never double-count.
   std::unique_ptr<prof::Collector> collector;
   if (bounded.profile || prof::ProfilingEnabled()) {
-    collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity());
+    collector = std::make_unique<prof::Collector>(env::Get().trace_capacity);
   }
   RunEvent event;
   try {
-    event.stats =
-        gpu_->Execute(module.Program(), bounded, trace, collector.get());
+    event.stats = gpu.Execute(program, bounded, collector.get());
   } catch (const sim::WatchdogTimeout& e) {
     throw CalError(CalResult::kCalTimeout, "launch", std::string(point),
                    call.attempt, e.what());
@@ -48,13 +55,18 @@ RunEvent Context::Run(const Module& module, const sim::LaunchConfig& config,
   event.seconds = event.stats.seconds;
   if (collector != nullptr) {
     prof::Profile profile = collector->Take();
-    profile.kernel = module.Program().name;
-    profile.point = point.empty() ? module.Program().name
-                                  : std::string(point);
-    profile.arch = gpu_->Arch().name;
+    profile.kernel = program.name;
+    profile.point = std::string(point);
+    profile.arch = gpu.Arch().name;
     profile.mode = ToString(bounded.mode);
-    profile.type = ToString(module.Program().sig.type);
+    profile.type = ToString(program.sig.type);
     profile.attempt = call.attempt;
+    // Export before publishing: a parallel sweep writes each point's
+    // trace from its own worker, and the arch/mode/type-qualified file
+    // name keeps concurrent curves from colliding.
+    if (const std::string dir = prof::TraceDirectory(); !dir.empty()) {
+      prof::WriteChromeTrace(profile, dir);
+    }
     event.profile =
         std::make_shared<const prof::Profile>(std::move(profile));
   }

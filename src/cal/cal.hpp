@@ -22,7 +22,6 @@
 #include "il/il.hpp"
 #include "prof/profile.hpp"
 #include "sim/gpu.hpp"
-#include "sim/trace.hpp"
 
 namespace amdmb::cal {
 
@@ -31,7 +30,7 @@ namespace amdmb::cal {
 /// layer increments `attempt`, which re-rolls the injected-fault
 /// decision deterministically).
 struct CallContext {
-  std::string point;     ///< Empty => derived from the kernel name.
+  std::string point;     ///< Empty => the kernel's (program's) name.
   unsigned attempt = 1;  ///< 1-based attempt counter.
 };
 
@@ -86,22 +85,29 @@ class Context {
   /// fault throws CalError{kCalCompileFailed}.
   Module Compile(const il::Kernel& kernel, const CallContext& call = {}) const;
 
-  /// Launches the module over the configured domain and reads the timer.
-  /// When `trace` is non-null, every executed clause is recorded. When
-  /// profiling is requested (config.profile or AMDMB_PROF) a
-  /// prof::Collector rides the launch and RunEvent::profile is filled;
-  /// a fresh collector per call means retried points never double-count.
-  /// Consults the fault injector at the launch / hang / readback
-  /// boundaries, and bounds the launch with `config.watchdog_cycles`
-  /// (falling back to AMDMB_WATCHDOG): failures surface as CalError with
-  /// the matching CalResult (a hung launch as kCalTimeout).
+  /// Launches the module over the configured domain and reads the timer
+  /// (see Launch).
   RunEvent Run(const Module& module, const sim::LaunchConfig& config,
-               sim::Trace* trace = nullptr, const CallContext& call = {});
+               const CallContext& call = {});
 
   const GpuArch& Arch() const { return gpu_->Arch(); }
 
  private:
   std::unique_ptr<sim::Gpu> gpu_;
 };
+
+/// The one launch discipline behind Context::Run and suite::Runner:
+/// runs `program` on `gpu` over the configured domain and reads the
+/// timer. Consults the fault injector at the launch / hang / readback
+/// boundaries, keyed on `call.point` (the program's name when empty),
+/// and bounds the launch with `config.watchdog_cycles` (falling back to
+/// AMDMB_WATCHDOG); failures surface as CalError with the matching
+/// CalResult (a hung launch as kCalTimeout). When profiling is requested
+/// (config.profile or AMDMB_PROF) a fresh prof::Collector rides the
+/// launch, so a retried attempt never double-counts; RunEvent::profile
+/// is filled, and with AMDMB_TRACE_DIR set the launch's Chrome trace is
+/// written there before the event returns.
+RunEvent Launch(const sim::Gpu& gpu, const isa::Program& program,
+                const sim::LaunchConfig& config, const CallContext& call = {});
 
 }  // namespace amdmb::cal

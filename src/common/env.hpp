@@ -80,8 +80,8 @@ unsigned ParseThreadCount(std::string_view text);
 /// ConfigError.
 std::uint64_t ParseWatchdogCycles(std::string_view text);
 
-/// AMDMB_TRACE_CAP grammar: a positive event count (the bound on both
-/// sim::Trace and prof::Collector event buffers). Throws ConfigError.
+/// AMDMB_TRACE_CAP grammar: a positive event count (the bound on a
+/// launch's prof::Collector event buffers). Throws ConfigError.
 std::size_t ParseTraceCapacity(std::string_view text);
 
 /// AMDMB_SERVE_QUEUE grammar: a queue depth in [0, 4096] (0 = no

@@ -11,8 +11,8 @@
 // Determinism: every hook argument derives from simulated state (event
 // clock, counts, addresses), never from wall time, so a Collector's
 // final Profile is bit-identical across runs and AMDMB_THREADS widths.
-// The retry layer builds a fresh Collector per attempt, so a retried
-// point never double-counts.
+// cal::Launch builds a fresh Collector per attempt, so a retried point
+// never double-counts.
 #pragma once
 
 #include <algorithm>
@@ -32,8 +32,7 @@ enum class DramOp : unsigned { kFill, kRead, kWrite, kStream };
 class Collector {
  public:
   /// `event_capacity` bounds the Chrome-trace event list (and the
-  /// occupancy timeline) exactly like sim::Trace bounds its events;
-  /// drops are counted, never silent.
+  /// occupancy timeline); drops are counted, never silent.
   explicit Collector(std::size_t event_capacity)
       : capacity_(event_capacity) {}
 

@@ -15,7 +15,6 @@
 
 #include "prof/counters.hpp"
 #include "sim/gpu.hpp"
-#include "sim/trace.hpp"
 
 namespace amdmb::prof {
 
@@ -25,8 +24,7 @@ inline constexpr std::size_t kClauseTypeCount = 5;
 
 /// Queueing vs. service decomposition for one clause type: how long
 /// wavefronts waited for the resource (start - issue) against how long
-/// the resource actually served them (complete - start). The split the
-/// text-only sim::Trace summary showed, now typed and exported.
+/// the resource actually served them (complete - start).
 struct ClauseAgg {
   std::uint64_t events = 0;
   std::uint64_t queue_cycles = 0;
@@ -81,7 +79,7 @@ struct Attribution {
 
 /// Everything one profiled launch recorded.
 struct Profile {
-  // ---- Identity (filled by the CAL layer / Runner readback) ----
+  // ---- Identity (filled by cal::Launch) ----
   std::string kernel;   ///< Kernel name ("alufetch_r2.00").
   std::string point;    ///< Sweep-point label; defaults to the kernel.
   std::string arch;     ///< Chip name ("RV770").

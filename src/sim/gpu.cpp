@@ -78,7 +78,7 @@ void ValidateLaunch(const GpuArch& arch, const isa::Program& program,
 }  // namespace
 
 KernelStats Gpu::Execute(const isa::Program& program,
-                         const LaunchConfig& config, Trace* trace,
+                         const LaunchConfig& config,
                          prof::Collector* collector) const {
   ValidateLaunch(arch_, program, config);
 
@@ -165,12 +165,6 @@ KernelStats Gpu::Execute(const isa::Program& program,
         const SimdEngine::AluRun run = simd.RunAluClause(e.t, chunk, occupancy);
         served_at = run.start;
         done = run.end;
-        if (trace != nullptr) {
-          trace->Record(TraceEvent{e.t, served_at, done, e.wave,
-                                   static_cast<std::uint16_t>(e.simd),
-                                   static_cast<std::uint16_t>(e.clause),
-                                   clause.type});
-        }
         if (collector != nullptr) {
           collector->OnClause(TraceEvent{e.t, served_at, done, e.wave,
                                          static_cast<std::uint16_t>(e.simd),
@@ -248,19 +242,11 @@ KernelStats Gpu::Execute(const isa::Program& program,
       }
     }
 
-    if (clause.type != isa::ClauseType::kAlu) {
-      if (trace != nullptr) {
-        trace->Record(TraceEvent{e.t, served_at, done, e.wave,
-                                 static_cast<std::uint16_t>(e.simd),
-                                 static_cast<std::uint16_t>(e.clause),
-                                 clause.type});
-      }
-      if (collector != nullptr) {
-        collector->OnClause(TraceEvent{e.t, served_at, done, e.wave,
-                                       static_cast<std::uint16_t>(e.simd),
-                                       static_cast<std::uint16_t>(e.clause),
-                                       clause.type});
-      }
+    if (collector != nullptr && clause.type != isa::ClauseType::kAlu) {
+      collector->OnClause(TraceEvent{e.t, served_at, done, e.wave,
+                                     static_cast<std::uint16_t>(e.simd),
+                                     static_cast<std::uint16_t>(e.clause),
+                                     clause.type});
     }
     t_end = std::max(t_end, done);
     if (e.clause + 1 < program.clauses.size()) {

@@ -10,14 +10,15 @@
 // (Sec. II-A).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "arch/gpu_arch.hpp"
 #include "common/status.hpp"
+#include "common/types.hpp"
 #include "compiler/isa.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
-#include "sim/trace.hpp"
 
 namespace amdmb::prof {
 class Collector;
@@ -48,6 +49,18 @@ struct LaunchConfig {
   /// AMDMB_PROF is unset. The CAL layer / suite Runner consult this (or
   /// prof::ProfilingEnabled()) and attach a prof::Collector to Execute.
   bool profile = false;
+};
+
+/// One executed clause (or ALU-chunk) of one wavefront, as reported to
+/// an attached prof::Collector.
+struct TraceEvent {
+  Cycles issue = 0;     ///< When the wavefront wanted to run the clause.
+  Cycles start = 0;     ///< When the resource began serving it.
+  Cycles complete = 0;  ///< When the wavefront could proceed.
+  std::uint32_t wave = 0;
+  std::uint16_t simd = 0;
+  std::uint16_t clause = 0;
+  isa::ClauseType type = isa::ClauseType::kAlu;
 };
 
 /// Thrown by Gpu::Execute when a launch exceeds its watchdog cycle
@@ -102,18 +115,16 @@ class Gpu {
 
   /// Simulates one launch of the compiled kernel. Throws ConfigError for
   /// impossible launches (compute mode on RV670, streaming stores in
-  /// compute mode, non-wavefront-divisible domains). When `trace` is
-  /// non-null every executed clause is recorded into it; when
-  /// `collector` is non-null the launch additionally feeds the
-  /// hardware-counter instrumentation hooks (prof::Collector), with no
-  /// effect on the returned KernelStats.
+  /// compute mode, non-wavefront-divisible domains). When `collector` is
+  /// non-null the launch feeds the hardware-counter instrumentation hooks
+  /// (prof::Collector), every executed clause included, with no effect
+  /// on the returned KernelStats.
   ///
   /// Const and shared-nothing: every piece of launch state (cache,
   /// memory controller, SIMD engines, event queue) is built locally, so
   /// concurrent Execute calls on one Gpu are safe — the property the
   /// parallel sweep executor relies on.
   KernelStats Execute(const isa::Program& program, const LaunchConfig& config,
-                      Trace* trace = nullptr,
                       prof::Collector* collector = nullptr) const;
 
   const GpuArch& Arch() const { return arch_; }

@@ -1,8 +1,6 @@
 #include "suite/microbench.hpp"
 
 #include "compiler/compiler.hpp"
-#include "prof/chrome_trace.hpp"
-#include "prof/collector.hpp"
 
 namespace amdmb::suite {
 
@@ -12,54 +10,26 @@ Runner::Runner(const GpuArch& arch, exec::KernelCache* cache)
 Measurement Runner::Measure(const il::Kernel& kernel,
                             const sim::LaunchConfig& config,
                             const MeasureContext& ctx) const {
-  const std::string_view point =
-      ctx.point.empty() ? std::string_view(kernel.name) : ctx.point;
+  // Resolved from this kernel's name, not the program's: the cache hands
+  // one program, named after the kernel that compiled it, to every
+  // kernel that lowers to it.
+  const cal::CallContext call{ctx.point.empty() ? kernel.name : ctx.point,
+                              ctx.attempt};
   // The compile boundary is checked before the cache lookup so the fault
   // schedule never depends on what some other point compiled first.
-  cal::CheckInjectedFault(fault::FaultSite::kCompile, point, ctx.attempt);
+  cal::CheckInjectedFault(fault::FaultSite::kCompile, call.point,
+                          call.attempt);
   const std::shared_ptr<const isa::Program> program =
       cache_ != nullptr
           ? cache_->Compile(kernel, gpu_.Arch())
           : std::make_shared<const isa::Program>(
                 compiler::Compile(kernel, gpu_.Arch()));
-  cal::CheckInjectedFault(fault::FaultSite::kLaunch, point, ctx.attempt);
-  cal::CheckInjectedFault(fault::FaultSite::kHang, point, ctx.attempt);
-  sim::LaunchConfig bounded = config;
-  if (bounded.watchdog_cycles == 0) {
-    bounded.watchdog_cycles = sim::DefaultWatchdogCycles();
-  }
-  // A fresh collector per attempt: counters restart from zero, so the
-  // retry layer can never double-count a retried point.
-  std::unique_ptr<prof::Collector> collector;
-  if (bounded.profile || prof::ProfilingEnabled()) {
-    collector = std::make_unique<prof::Collector>(sim::DefaultTraceCapacity());
-  }
   Measurement m;
   m.ska = compiler::Analyze(*program, gpu_.Arch());
-  try {
-    m.stats = gpu_.Execute(*program, bounded, nullptr, collector.get());
-  } catch (const sim::WatchdogTimeout& e) {
-    throw cal::CalError(cal::CalResult::kCalTimeout, "launch",
-                        std::string(point), ctx.attempt, e.what());
-  }
-  cal::CheckInjectedFault(fault::FaultSite::kReadback, point, ctx.attempt);
-  m.seconds = m.stats.seconds;
-  if (collector != nullptr) {
-    prof::Profile profile = collector->Take();
-    profile.kernel = program->name;
-    profile.point = std::string(point);
-    profile.arch = gpu_.Arch().name;
-    profile.mode = ToString(bounded.mode);
-    profile.type = ToString(program->sig.type);
-    profile.attempt = ctx.attempt;
-    // Export before publishing: a parallel sweep writes each point's
-    // trace from its own worker, and the arch/mode/type-qualified file
-    // name keeps concurrent curves from colliding.
-    if (const std::string dir = prof::TraceDirectory(); !dir.empty()) {
-      prof::WriteChromeTrace(profile, dir);
-    }
-    m.profile = std::make_shared<const prof::Profile>(std::move(profile));
-  }
+  cal::RunEvent event = cal::Launch(gpu_, *program, config, call);
+  m.seconds = event.seconds;
+  m.stats = event.stats;
+  m.profile = std::move(event.profile);
   return m;
 }
 

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "arch/gpu_arch.hpp"
-#include "cal/cal_result.hpp"
+#include "cal/cal.hpp"
 #include "compiler/ska.hpp"
 #include "exec/kernel_cache.hpp"
 #include "exec/sweep_executor.hpp"
@@ -20,10 +20,7 @@ namespace amdmb::suite {
 /// Identifies one measurement for fault injection / error reporting:
 /// the sweep-point name (empty = the kernel name) and the 1-based
 /// attempt number the retry layer is on.
-struct MeasureContext {
-  std::string point;
-  unsigned attempt = 1;
-};
+using MeasureContext = cal::CallContext;
 
 /// One measured kernel execution.
 struct Measurement {
@@ -46,16 +43,11 @@ class Runner {
   explicit Runner(const GpuArch& arch,
                   exec::KernelCache* cache = &exec::KernelCache::Shared());
 
-  /// Measures one launch. Mirrors the CAL runtime contract: the fault
-  /// injector is consulted at the compile / launch / readback
-  /// boundaries (before the kernel cache, so the schedule is independent
-  /// of cache state), the launch is bounded by the watchdog budget
-  /// (config.watchdog_cycles, else AMDMB_WATCHDOG), and every failure
-  /// surfaces as a cal::CalError carrying the stage, point, and attempt.
-  /// When profiling is on (config.profile or AMDMB_PROF) a fresh
-  /// prof::Collector rides the launch — Measurement::profile is filled,
-  /// and with AMDMB_TRACE_DIR set the launch's Chrome trace is written
-  /// there before the measurement returns.
+  /// Measures one launch. The compile boundary's fault check runs before
+  /// the kernel cache, so the schedule is independent of cache state;
+  /// the launch itself goes through cal::Launch (fault checks, watchdog,
+  /// profiling and trace export), and every failure surfaces as a
+  /// cal::CalError carrying the stage, point, and attempt.
   Measurement Measure(const il::Kernel& kernel,
                       const sim::LaunchConfig& config,
                       const MeasureContext& ctx = {}) const;

@@ -1,9 +1,12 @@
 // CAL runtime facade tests: device lookup, module compilation, launches.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "cal/cal.hpp"
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
+#include "suite/microbench.hpp"
 
 namespace amdmb::cal {
 namespace {
@@ -71,6 +74,48 @@ TEST(ContextTest, PixelAndComputeLaunchesDiffer) {
   // The naive 64x1 compute dispatch must not beat the rasterizer's tiled
   // order (paper Sec. IV-A).
   EXPECT_GE(compute.seconds, pixel.seconds * 0.95);
+}
+
+TEST(ContextTest, RunAgreesWithRunnerMeasure) {
+  // Context::Run and suite::Runner::Measure are two front doors to one
+  // launch: the same kernel, arch, launch and point give the same stats
+  // and the same profile.
+  const Device device = Device::Open("4870");
+  Context ctx(device);
+  const suite::Runner runner(device.Info(), /*cache=*/nullptr);
+  const il::Kernel kernel = SimpleKernel(DataType::kFloat4);
+  sim::LaunchConfig config;
+  config.domain = Domain{128, 128};
+  config.profile = true;
+  const CallContext call{"agree_point", 2};
+  const RunEvent ev = ctx.Run(ctx.Compile(kernel, call), config, call);
+  const suite::Measurement m = runner.Measure(kernel, config, call);
+  EXPECT_EQ(ev.stats, m.stats);
+  EXPECT_EQ(ev.seconds, m.seconds);
+  ASSERT_NE(ev.profile, nullptr);
+  ASSERT_NE(m.profile, nullptr);
+  const prof::Profile& a = *ev.profile;
+  const prof::Profile& b = *m.profile;
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.clauses, b.clauses);
+  EXPECT_FALSE(a.events.empty());
+  ASSERT_EQ(a.events.size(), b.events.size());
+  const auto fields = [](const sim::TraceEvent& e) {
+    return std::tie(e.issue, e.start, e.complete, e.wave, e.simd, e.clause,
+                    e.type);
+  };
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(fields(a.events[i]), fields(b.events[i])) << "event " << i;
+  }
+  EXPECT_EQ(a.dropped_events, b.dropped_events);
+  EXPECT_EQ(a.kernel, b.kernel);
+  EXPECT_EQ(a.point, "agree_point");
+  EXPECT_EQ(b.point, "agree_point");
+  EXPECT_EQ(a.arch, b.arch);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.type, b.type);
+  EXPECT_EQ(a.attempt, 2u);
+  EXPECT_EQ(b.attempt, 2u);
 }
 
 }  // namespace

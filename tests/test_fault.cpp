@@ -203,6 +203,43 @@ TEST(CalErrorTest, HangMapsToTimeout) {
   }
 }
 
+TEST(CalErrorTest, DefaultPointIsTheKernelNameOnBothLaunchPaths) {
+  // With no point named, Context::Run and Runner::Measure key their
+  // launch faults on the kernel's name, so one seeded schedule fails the
+  // same kernels on both paths.
+  ScopedFaultInjector scoped("launch:0.5,seed=1");
+  cal::Context ctx(cal::Device::Open("4870"));
+  const suite::Runner runner(ctx.Arch());
+  sim::LaunchConfig config;
+  config.domain = Domain{64, 64};
+  config.repetitions = 1;
+  std::vector<std::string> cal_failed;
+  std::vector<std::string> runner_failed;
+  for (int i = 0; i < 40; ++i) {
+    suite::GenericSpec spec;
+    spec.inputs = 4;
+    spec.alu_ops = 32;
+    spec.name = "k";  // See RetriesRollFreshDecisions: -Wrestrict.
+    spec.name += std::to_string(i);
+    const il::Kernel kernel = suite::GenerateGeneric(spec);
+    try {
+      ctx.Run(ctx.Compile(kernel), config);
+    } catch (const cal::CalError& e) {
+      EXPECT_EQ(e.Point(), spec.name);
+      cal_failed.push_back(spec.name);
+    }
+    try {
+      runner.Measure(kernel, config);
+    } catch (const cal::CalError& e) {
+      EXPECT_EQ(e.Point(), spec.name);
+      runner_failed.push_back(spec.name);
+    }
+  }
+  EXPECT_EQ(cal_failed, runner_failed);
+  EXPECT_GT(cal_failed.size(), 0u);
+  EXPECT_LT(cal_failed.size(), 40u);
+}
+
 TEST(CalErrorTest, NoInjectorNoThrow) {
   // Outside any scoped install (and with AMDMB_FAULTS unset in the test
   // environment) the check must be a no-op.
@@ -250,6 +287,7 @@ TEST(WatchdogTest, CalRunSurfacesTimeoutAsCalError) {
     FAIL() << "expected CalError";
   } catch (const cal::CalError& e) {
     EXPECT_EQ(e.Code(), cal::CalResult::kCalTimeout);
+    EXPECT_EQ(e.Point(), module.Program().name);
   }
 }
 

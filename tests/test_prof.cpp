@@ -63,8 +63,7 @@ TEST(CollectorTest, DoesNotPerturbKernelStats) {
   sim::LaunchConfig config;
   config.domain = Domain{128, 128};
   Collector collector(1u << 20);
-  const sim::KernelStats with =
-      gpu.Execute(p, config, nullptr, &collector);
+  const sim::KernelStats with = gpu.Execute(p, config, &collector);
   const sim::KernelStats without = gpu.Execute(p, config);
   EXPECT_EQ(with, without);
 }
@@ -76,8 +75,7 @@ TEST(CollectorTest, CountersAgreeWithKernelStats) {
   sim::LaunchConfig config;
   config.domain = kSmall;
   Collector collector(1u << 20);
-  const sim::KernelStats stats =
-      gpu.Execute(p, config, nullptr, &collector);
+  const sim::KernelStats stats = gpu.Execute(p, config, &collector);
   const Profile profile = collector.Take();
   const CounterSet& c = profile.counters;
   EXPECT_EQ(c.Get(CounterId::kCycles), stats.cycles);
@@ -115,7 +113,7 @@ TEST(CollectorTest, CapsEventStreamAndCountsDrops) {
   sim::LaunchConfig config;
   config.domain = kSmall;
   Collector collector(/*event_capacity=*/8);
-  gpu.Execute(p, config, nullptr, &collector);
+  gpu.Execute(p, config, &collector);
   const Profile profile = collector.Take();
   EXPECT_EQ(profile.events.size(), 8u);
   EXPECT_GT(profile.dropped_events, 0u);
