@@ -4,77 +4,10 @@
 // locality — the naive 64x1 block touches more distinct rows per
 // wavefront under Morton tiling and degrades fastest, matching the
 // paper's remark that 64x1 also worsens "memory bank conflicts".
+// The definition lives in suite::figures::Supplements().
 #include "bench_common.hpp"
 
-namespace {
-
-using namespace amdmb;
-using namespace amdmb::suite;
-using bench::FigureSink;
-
-FigureSink g_sink(
-    "Ablation — DRAM Row-Activation Penalty on Fills",
-    "Fetch-bound time vs row-switch penalty per dispatch shape",
-    "Row-switch penalty (cycles)", "Time in seconds",
-    "Pixel-mode 8x8 tiles keep fills row-local; 64x1 compute blocks "
-    "degrade fastest as the penalty grows.");
-
-Measurement FetchBound(const GpuArch& arch, ShaderMode mode,
-                       BlockShape block) {
-  Runner runner(arch);
-  GenericSpec spec;
-  spec.inputs = 16;
-  spec.alu_ops = 16;  // Ratio 0.25: firmly fetch-bound.
-  spec.type = DataType::kFloat4;
-  spec.write_path =
-      mode == ShaderMode::kCompute ? WritePath::kGlobal : WritePath::kStream;
-  sim::LaunchConfig launch;
-  launch.domain = bench::QuickMode() ? Domain{256, 256} : Domain{1024, 1024};
-  launch.mode = mode;
-  launch.block = block;
-  return runner.Measure(GenerateGeneric(spec), launch);
-}
-
-void Register() {
-  struct Shape {
-    std::string name;
-    ShaderMode mode;
-    BlockShape block;
-  };
-  const std::vector<Shape> shapes = {
-      {"pixel 8x8", ShaderMode::kPixel, {64, 1}},
-      {"compute 64x1", ShaderMode::kCompute, {64, 1}},
-      {"compute 4x16", ShaderMode::kCompute, {4, 16}},
-  };
-  for (const Shape& shape : shapes) {
-    bench::RegisterCurveBenchmark("RowLocality/" + shape.name, [shape] {
-      double base = 0.0;
-      double last = 0.0;
-      Series& series = g_sink.Set().Get("4870 " + shape.name);
-      for (const Cycles penalty : {0u, 8u, 16u, 32u, 64u}) {
-        GpuArch arch = MakeRV770();
-        arch.dram.row_switch_cycles = penalty;
-        const Measurement m = FetchBound(arch, shape.mode, shape.block);
-        last = m.seconds;
-        if (penalty == 0) base = last;
-        series.Add(static_cast<double>(penalty), last);
-        if (m.profile != nullptr) {
-          g_sink.Record().profiles.push_back(report::MakeProfileEntry(
-              "4870 " + shape.name, *m.profile,
-              sim::ToString(m.stats.bottleneck)));
-        }
-      }
-      g_sink.Add({report::FindingKind::kRatio, "4870 " + shape.name,
-                  "row_penalty_slowdown", last / base, "x",
-                  "time at penalty 64 over penalty 0"});
-      return last;
-    });
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Register();
-  return amdmb::bench::RunBenchMain(argc, argv, {&g_sink});
+  return amdmb::bench::Main(argc, argv,
+                            {"ablation_dram_row_activation_penalty_on_fills"});
 }

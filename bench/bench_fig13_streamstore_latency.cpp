@@ -6,5 +6,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return amdmb::bench::RunRegistryBenchMain(argc, argv, {"fig_13"});
+  return amdmb::bench::Main(argc, argv, {"fig_13"});
 }

@@ -6,6 +6,5 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  return amdmb::bench::RunRegistryBenchMain(argc, argv,
-                                            {"fig_15a", "fig_15b"});
+  return amdmb::bench::Main(argc, argv, {"fig_15a", "fig_15b"});
 }

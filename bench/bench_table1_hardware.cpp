@@ -1,43 +1,11 @@
 // Table I: GPU hardware features, rendered from the machine
 // descriptions, plus derived execution-model identities the paper quotes
 // (800 ALUs = 10 SIMDs x 16 TPs x 5 lanes; 256 GPRs per thread; 51
-// wavefronts at 5 GPRs).
+// wavefronts at 5 GPRs). The findings document lives in
+// suite::figures::Supplements().
 #include "bench_common.hpp"
 
-namespace {
-
-using namespace amdmb;
-using bench::FigureSink;
-
-FigureSink g_sink("Table I", "GPU Hardware Features", "row", "value",
-                  "RV670/RV770/RV870 core configuration as tested on the "
-                  "3870/4870/5870 boards.");
-
-void Register() {
-  bench::RegisterCurveBenchmark("TableI/render", [] {
-    std::cout << RenderHardwareTable() << "\n";
-    for (const GpuArch& arch : AllArchs()) {
-      g_sink.Add({report::FindingKind::kPlateau, arch.name, "alu_count",
-                  static_cast<double>(arch.alu_count), "ALUs",
-                  std::to_string(arch.thread_processors_per_simd) + " TPs x " +
-                      std::to_string(arch.vliw_width) + " lanes x " +
-                      std::to_string(arch.simd_engines) + " SIMDs; " +
-                      std::to_string(arch.tex_units_per_simd) +
-                      " texture units/SIMD; compute shader: " +
-                      (arch.supports_compute ? "yes" : "no")});
-    }
-    const GpuArch rv770 = MakeRV770();
-    g_sink.Add({report::FindingKind::kPlateau, rv770.name,
-                "theoretical_wavefronts_5gpr",
-                static_cast<double>(TheoreticalWavefronts(rv770, 5)),
-                "wavefronts", "occupancy check, paper Sec. II-B (paper: 51)"});
-    return 0.0;
-  });
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Register();
-  return amdmb::bench::RunBenchMain(argc, argv, {&g_sink});
+  std::cout << amdmb::RenderHardwareTable() << "\n";
+  return amdmb::bench::Main(argc, argv, {"table_i"});
 }

@@ -1,24 +1,32 @@
-// Runs the condensed end-to-end micro-benchmark suite and prints the
-// report: Table I, ALU:Fetch crossovers, read/write latency slopes, and
-// the register-pressure effect, each annotated with the paper's claim.
+// Builds every document of the suite — the paper's numbered figures,
+// then Table I, the Fig. 5 control, the ablations and the block-size
+// extension — and prints each one as a text report: the curve columns
+// plus the measured findings next to the paper's claim.
 //
-// Run:  ./example_suite_report [--quick] [gpu-name]
+// Run:  ./example_suite_report [--quick]
 #include <cstring>
 #include <iostream>
 
 #include "amdmb.hpp"
+#include "report/text_sink.hpp"
 
 int main(int argc, char** argv) {
-  amdmb::suite::SuiteOptions options;
+  namespace figures = amdmb::suite::figures;
+  figures::RunOptions opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      options.quick = true;
-    } else {
-      options.arch_filter = argv[i];
+    if (std::strcmp(argv[i], "--quick") != 0) {
+      std::cerr << "usage: " << argv[0] << " [--quick]\n";
+      return 1;
     }
+    opts.quick = true;
   }
   try {
-    std::cout << amdmb::suite::RunFullSuiteReport(options);
+    amdmb::report::TextSink sink(std::cout);
+    for (const auto* list : {&figures::Registry(), &figures::Supplements()}) {
+      for (const figures::FigureDef& def : *list) {
+        sink.Write(figures::Build(def, opts));
+      }
+    }
   } catch (const amdmb::ConfigError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -1,4 +1,5 @@
-// The figure registry: every numbered paper figure as data + code.
+// The figure registry: every numbered paper figure as data + code, plus
+// Build and the helpers the supplements share (supplements.cpp).
 //
 // Each Make* function below is the former bench binary's Register()
 // body, lifted verbatim: same curve order, same config shapes, same
@@ -19,12 +20,6 @@ namespace amdmb::suite::figures {
 
 namespace {
 
-void Append(report::Figure& figure, std::vector<report::Finding> findings) {
-  for (report::Finding& f : findings) {
-    figure.findings.push_back(std::move(f));
-  }
-}
-
 AluFetchConfig QuickAluFetch(const RunOptions& opts) {
   AluFetchConfig config;
   if (opts.quick) {
@@ -40,7 +35,6 @@ AluFetchConfig QuickAluFetch(const RunOptions& opts) {
 FigureDef MakeFig7() {
   FigureDef def;
   def.slug = "fig_7";
-  def.bench_prefix = "Fig07";
   def.id = "Fig. 7 — ALU:Fetch Ratio for 16 Inputs";
   def.title = "ALU:Fetch Ratio";
   def.x_label = "ALU:Fetch Ratio";
@@ -64,9 +58,8 @@ FigureDef MakeFig7() {
            }
            NoteFaults(fig, key.Name(), r.report);
            NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return 0.0;
+           if (r.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
-           return r.points.back().m.seconds;
          }});
   }
   return def;
@@ -75,7 +68,6 @@ FigureDef MakeFig7() {
 FigureDef MakeFig8() {
   FigureDef def;
   def.slug = "fig_8";
-  def.bench_prefix = "Fig08";
   def.id = "Fig. 8 — ALU:Fetch Ratio for 16 Inputs with Block Size of 4x16";
   def.title = "ALU:Fetch Ratio (4x16 blocks)";
   def.x_label = "ALU:Fetch Ratio";
@@ -105,14 +97,13 @@ FigureDef MakeFig8() {
            NoteProfiles(fig, key.Name() + " 4x16", blocked.points);
            NoteFaults(fig, key.Name() + " 64x1", naive.report);
            NoteProfiles(fig, key.Name() + " 64x1", naive.points);
-           if (blocked.points.empty() || naive.points.empty()) return 0.0;
+           if (blocked.points.empty() || naive.points.empty()) return;
            Append(fig, Findings(blocked, key.Name()));
            fig.findings.push_back(
                {report::FindingKind::kRatio, key.Name(), "block_4x16_speedup",
                 naive.points.front().m.seconds /
                     blocked.points.front().m.seconds,
                 "x", "4x16 over 64x1 in the fetch-bound region"});
-           return blocked.points.back().m.seconds;
          }});
   }
   return def;
@@ -121,7 +112,6 @@ FigureDef MakeFig8() {
 FigureDef MakeFig9() {
   FigureDef def;
   def.slug = "fig_9";
-  def.bench_prefix = "Fig09";
   def.id = "Fig. 9 — ALU:Fetch Ratio for 16 Inputs using Global Read";
   def.title = "ALU:Fetch Ratio (global read, stream write)";
   def.x_label = "ALU:Fetch Ratio";
@@ -154,14 +144,13 @@ FigureDef MakeFig9() {
            NoteProfiles(fig, key.Name() + " global", r.points);
            NoteFaults(fig, key.Name() + " texture", t.report);
            NoteProfiles(fig, key.Name() + " texture", t.points);
-           if (r.points.empty() || t.points.empty()) return 0.0;
+           if (r.points.empty() || t.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
            fig.findings.push_back(
                {report::FindingKind::kRatio, key.Name(),
                 "global_vs_texture_ratio",
                 r.points.front().m.seconds / t.points.front().m.seconds, "x",
                 "global-read over texture-read flat-region time"});
-           return r.points.back().m.seconds;
          }});
   }
   return def;
@@ -170,7 +159,6 @@ FigureDef MakeFig9() {
 FigureDef MakeFig10() {
   FigureDef def;
   def.slug = "fig_10";
-  def.bench_prefix = "Fig10";
   def.id =
       "Fig. 10 — ALU:Fetch Ratio for 16 Inputs using Global Read and Write";
   def.title = "ALU:Fetch Ratio (global read + global write)";
@@ -196,7 +184,7 @@ FigureDef MakeFig10() {
            }
            NoteFaults(fig, key.Name(), global.report);
            NoteProfiles(fig, key.Name(), global.points);
-           if (global.points.empty()) return 0.0;
+           if (global.points.empty()) return;
            Append(fig, Findings(global, key.Name()));
            if (key.mode == ShaderMode::kPixel) {
              AluFetchConfig stream_config = global_config;
@@ -216,39 +204,27 @@ FigureDef MakeFig10() {
                     "region (paper: negligible difference)"});
              }
            }
-           return global.points.back().m.seconds;
          }});
   }
   return def;
 }
 
-ReadLatencyConfig QuickReadLatency(const RunOptions& opts) {
-  ReadLatencyConfig config;
-  if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
-  return config;
-}
-
 template <typename Result>
-double ReadLatencyCurve(report::Figure& fig, const CurveKey& key,
-                        const Result& r) {
+void ReadLatencyCurve(report::Figure& fig, const CurveKey& key,
+                      const Result& r) {
   Series& series = fig.set.Get(key.Name());
   for (const ReadLatencyPoint& p : r.points) {
     series.Add(p.inputs, p.m.seconds);
   }
   NoteFaults(fig, key.Name(), r.report);
   NoteProfiles(fig, key.Name(), r.points);
-  if (r.points.empty()) return 0.0;
+  if (r.points.empty()) return;
   Append(fig, Findings(r, key.Name()));
-  return r.points.back().m.seconds;
 }
 
 FigureDef MakeFig11() {
   FigureDef def;
   def.slug = "fig_11";
-  def.bench_prefix = "Fig11";
   def.id = "Fig. 11 — Texture Fetch Latency";
   def.title = "Texture Fetch Latency";
   def.x_label = "Number of Inputs";
@@ -262,10 +238,9 @@ FigureDef MakeFig11() {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
            Runner runner(key.arch);
-           return ReadLatencyCurve(
-               fig, key,
-               RunReadLatency(runner, key.mode, key.type,
-                              QuickReadLatency(opts)));
+           ReadLatencyCurve(fig, key,
+                            RunReadLatency(runner, key.mode, key.type,
+                                           QuickReadLatency(opts)));
          }});
   }
   return def;
@@ -274,7 +249,6 @@ FigureDef MakeFig11() {
 FigureDef MakeFig12() {
   FigureDef def;
   def.slug = "fig_12";
-  def.bench_prefix = "Fig12";
   def.id = "Fig. 12 — Global Read Latency";
   def.title = "Global Read Latency";
   def.x_label = "Number of Inputs";
@@ -290,7 +264,7 @@ FigureDef MakeFig12() {
            ReadLatencyConfig config = QuickReadLatency(opts);
            config.read_path = ReadPath::kGlobal;
            Runner runner(key.arch);
-           return ReadLatencyCurve(
+           ReadLatencyCurve(
                fig, key, RunReadLatency(runner, key.mode, key.type, config));
          }});
   }
@@ -309,7 +283,6 @@ WriteLatencyConfig QuickWriteLatency(const RunOptions& opts) {
 FigureDef MakeFig13() {
   FigureDef def;
   def.slug = "fig_13";
-  def.bench_prefix = "Fig13";
   def.id = "Fig. 13 — Streaming Store Latency";
   def.title = "Streaming Store Latency";
   def.x_label = "Number of Outputs";
@@ -334,14 +307,13 @@ FigureDef MakeFig13() {
            }
            NoteFaults(fig, key.Name(), r.report);
            NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return 0.0;
+           if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.front().detail =
                "first point bottleneck " +
                std::string(
                    sim::ToString(r.points.front().m.stats.bottleneck));
            Append(fig, std::move(findings));
-           return r.points.back().m.seconds;
          }});
   }
   return def;
@@ -350,7 +322,6 @@ FigureDef MakeFig13() {
 FigureDef MakeFig14() {
   FigureDef def;
   def.slug = "fig_14";
-  def.bench_prefix = "Fig14";
   def.id = "Fig. 14 — Global Write Latency";
   def.title = "Global Write Latency";
   def.x_label = "Number of Outputs";
@@ -373,14 +344,13 @@ FigureDef MakeFig14() {
            }
            NoteFaults(fig, key.Name(), r.report);
            NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return 0.0;
+           if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.front().detail =
                "last point bottleneck " +
                std::string(
                    sim::ToString(r.points.back().m.stats.bottleneck));
            Append(fig, std::move(findings));
-           return r.points.back().m.seconds;
          }});
   }
   return def;
@@ -389,7 +359,6 @@ FigureDef MakeFig14() {
 std::pair<FigureDef, FigureDef> MakeFig15() {
   FigureDef pixel;
   pixel.slug = "fig_15a";
-  pixel.bench_prefix = "Fig15";
   pixel.id = "Fig. 15a — Domain Size, Pixel Shader";
   pixel.title = "Domain Size Pixel Shader";
   pixel.x_label = "Domain Size";
@@ -402,7 +371,6 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
 
   FigureDef compute;
   compute.slug = "fig_15b";
-  compute.bench_prefix = "Fig15";
   compute.id = "Fig. 15b — Domain Size, Compute Shader";
   compute.title = "Domain Size Compute Shader";
   compute.x_label = "Domain Size";
@@ -441,33 +409,22 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
              NoteProfiles(fig, label + " float", f.points);
              NoteFaults(fig, label + " float4", f4.report);
              NoteProfiles(fig, label + " float4", f4.points);
-             if (f.points.empty() || f4.points.empty()) return 0.0;
+             if (f.points.empty() || f4.points.empty()) return;
              Append(fig, Findings(f, label));
              fig.findings.push_back(
                  {report::FindingKind::kRatio, label,
                   "float4_float_max_domain_ratio",
                   f4.points.back().m.seconds / f.points.back().m.seconds,
                   "x", "ALU-bound => ~1.0"});
-             return f.points.back().m.seconds;
            }});
     }
   }
   return {std::move(pixel), std::move(compute)};
 }
 
-RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts) {
-  RegisterUsageConfig config;
-  if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
-  return config;
-}
-
 FigureDef MakeFig16() {
   FigureDef def;
   def.slug = "fig_16";
-  def.bench_prefix = "Fig16";
   def.id = "Fig. 16 — Impact of Register Usage";
   def.title = "Register Pressure Effect";
   def.x_label = "Global Purpose Registers";
@@ -489,14 +446,13 @@ FigureDef MakeFig16() {
            }
            NoteFaults(fig, key.Name(), r.report);
            NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return 0.0;
+           if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.back().detail =
                "final bottleneck " +
                std::string(
                    sim::ToString(r.points.back().m.stats.bottleneck));
            Append(fig, std::move(findings));
-           return r.points.back().m.seconds;
          }});
   }
   return def;
@@ -505,7 +461,6 @@ FigureDef MakeFig16() {
 FigureDef MakeFig17() {
   FigureDef def;
   def.slug = "fig_17";
-  def.bench_prefix = "Fig17";
   def.id = "Fig. 17 — Impact of Register Usage with Block Size of 4x16";
   def.title = "Register Pressure Effect for 4x16 Block Size";
   def.x_label = "Global Purpose Registers";
@@ -544,7 +499,7 @@ FigureDef MakeFig17() {
                  std::min(worst_gain, naive.points[i].m.seconds /
                                           blocked.points[i].m.seconds);
            }
-           if (blocked.points.empty()) return 0.0;
+           if (blocked.points.empty()) return;
            Append(fig, Findings(blocked, key.Name()));
            if (paired > 0) {
              fig.findings.push_back(
@@ -552,7 +507,6 @@ FigureDef MakeFig17() {
                   "block_4x16_min_gain", worst_gain, "x",
                   "minimum 64x1/4x16 time ratio across the sweep"});
            }
-           return blocked.points.back().m.seconds;
          }});
   }
   return def;
@@ -626,6 +580,7 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
   report::Figure figure(def.id, def.title, def.x_label, def.y_label,
                         def.paper_claim);
   for (std::size_t i = 0; i < def.curves.size(); ++i) {
+    if (opts.cancel != nullptr && opts.cancel->Cancelled()) break;
     def.curves[i].run(figure, opts);
     if (on_curve) {
       on_curve(i, def.curves.size(), def.curves[i].name, figure);
@@ -644,6 +599,30 @@ void NoteFaults(report::Figure& figure, const std::string& curve,
   for (report::Degradation& d : report::DegradationsFrom(run, curve)) {
     figure.degradations.push_back(std::move(d));
   }
+}
+
+void Append(report::Figure& figure, std::vector<report::Finding> findings) {
+  for (report::Finding& f : findings) {
+    figure.findings.push_back(std::move(f));
+  }
+}
+
+ReadLatencyConfig QuickReadLatency(const RunOptions& opts) {
+  ReadLatencyConfig config;
+  if (opts.quick) config.domain = Domain{256, 256};
+  config.executor = opts.executor;
+  config.cancel = opts.cancel;
+  config.adaptive = opts.adaptive;
+  return config;
+}
+
+RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts) {
+  RegisterUsageConfig config;
+  if (opts.quick) config.domain = Domain{256, 256};
+  config.executor = opts.executor;
+  config.cancel = opts.cancel;
+  config.adaptive = opts.adaptive;
+  return config;
 }
 
 namespace {

@@ -1,14 +1,14 @@
-// Registry of the paper's numbered figures as runnable definitions.
+// Every document the suite produces, as runnable definitions.
 //
-// Each bench binary used to own its figure inline: the metadata, the
-// per-curve sweep code, and the findings wiring lived in one lambda per
-// google-benchmark. That made a figure callable only by forking the
-// binary. This registry is the single source of truth instead: a
-// FigureDef carries the metadata plus one CurveDef per paper curve, the
-// bench binaries register their google-benchmarks from it
-// (bench::RunRegistryBenchMain), and the amdmb_serve daemon runs the
-// very same definitions for sweep requests — so a served figure
-// document is byte-identical to the one the standalone binary writes.
+// A FigureDef carries a document's metadata plus one CurveDef per
+// curve, and Build is the one path from definition to document. Two
+// lists hold the definitions. Registry() has the paper's numbered
+// figures, which the amdmb_serve daemon serves and the repo benchmark
+// pins. Supplements() has Table I, the Fig. 5 control, three model
+// ablations and the block-size extension. The bench binaries
+// (bench::Main), the daemon, the golden test and example_suite_report
+// all build from these definitions, so a served figure document is
+// byte-identical to the one the standalone binary writes.
 #pragma once
 
 #include <cstddef>
@@ -24,16 +24,22 @@
 #include "report/record.hpp"
 #include "sim/gpu.hpp"
 
+namespace amdmb::suite {
+struct ReadLatencyConfig;
+struct RegisterUsageConfig;
+}  // namespace amdmb::suite
+
 namespace amdmb::suite::figures {
 
 /// How to run a figure build. The bench binaries pass the environment
 /// snapshot (quick = AMDMB_QUICK, process interrupt token); the serve
-/// daemon passes the request's quick flag and its own cancellation.
+/// daemon passes the request's quick flag.
 struct RunOptions {
   bool quick = false;
   /// Sweep executor for every curve (null = process default).
   const exec::SweepExecutor* executor = nullptr;
-  /// Cooperative cancellation for every curve's sweep (may be null).
+  /// Cooperative cancellation (may be null): every curve's sweep skips
+  /// its remaining points, and Build starts no further curve.
   const exec::CancelToken* cancel = nullptr;
   /// Non-null runs every curve's sweep adaptively (coarse pass +
   /// bisection, adapt::Refiner) instead of densely. Reflected in
@@ -41,21 +47,18 @@ struct RunOptions {
   const adapt::Settings* adaptive = nullptr;
 };
 
-/// One curve of a figure. `run` executes the sweep, appends the curve's
-/// series / findings / degradations / profiles to the figure record,
-/// and returns the simulated seconds the bench binary reports as its
-/// "sim_seconds" counter (the last successful point's time, 0.0 when
-/// the sweep produced no points).
+/// One curve of a figure. `run` executes the sweep and appends the
+/// curve's series / findings / degradations / profiles to the figure
+/// record.
 struct CurveDef {
-  std::string name;  ///< Benchmark-name suffix ("4870 Pixel Float").
-  std::function<double(report::Figure&, const RunOptions&)> run;
+  std::string name;  ///< Progress label ("4870 Pixel Float").
+  std::function<void(report::Figure&, const RunOptions&)> run;
 };
 
-/// One reproducible figure of the paper.
+/// One reproducible document of the paper.
 struct FigureDef {
-  std::string slug;          ///< Canonical slug ("fig_7"), = FigureSlug(id).
-  std::string bench_prefix;  ///< google-benchmark prefix ("Fig07").
-  std::string id;            ///< "Fig. 7 — ALU:Fetch Ratio for 16 Inputs".
+  std::string slug;  ///< Canonical slug ("fig_7"), = FigureSlug(id).
+  std::string id;    ///< "Fig. 7 — ALU:Fetch Ratio for 16 Inputs".
   std::string title;
   std::string x_label;
   std::string y_label;
@@ -68,6 +71,13 @@ struct FigureDef {
 /// into 15a/15b, one per shader mode, exactly as the bench binary
 /// emits them).
 const std::vector<FigureDef>& Registry();
+
+/// The documents beside the numbered figures, in bench-binary order:
+/// Table I (findings only), the block-size explorer, the Fig. 5
+/// clause-usage control and the cache-index, residency-cap and DRAM
+/// row-locality ablations. Not served; Find(slug, Supplements())
+/// reaches them.
+const std::vector<FigureDef>& Supplements();
 
 /// Slug normalization for lookups: lower-cases, drops every
 /// non-alphanumeric character, and strips leading zeros from digit runs
@@ -85,9 +95,11 @@ using CurveCallback = std::function<void(
     std::size_t, std::size_t, const std::string&, const report::Figure&)>;
 
 /// Runs every curve of `def` in order and returns the finalized figure
-/// record — the exact record the bench binary's sinks would print.
-/// `figure.meta.quick` reflects opts.quick (the request scale), not the
-/// process environment.
+/// record — the exact record the bench binary's sinks print. Once
+/// opts.cancel has fired no further curve starts, so an interrupted
+/// build keeps exactly the curves that had started. `figure.meta.quick`
+/// reflects opts.quick (the request scale), not the process
+/// environment.
 report::Figure Build(const FigureDef& def, const RunOptions& opts,
                      const CurveCallback& on_curve = {});
 
@@ -95,6 +107,14 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
 /// record, attributed to `curve`.
 void NoteFaults(report::Figure& figure, const std::string& curve,
                 const exec::RunReport& run);
+
+/// Appends `findings` to the record in order.
+void Append(report::Figure& figure, std::vector<report::Finding> findings);
+
+/// Sweep configs carrying opts' scale (a 256x256 domain when quick),
+/// executor, cancel token and adaptive settings.
+ReadLatencyConfig QuickReadLatency(const RunOptions& opts);
+RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts);
 
 /// One representative operating point of a registry figure: the exact
 /// generated kernel, architecture, and launch the figure's sweep

@@ -1,31 +1,14 @@
 // Umbrella header for the micro-benchmark suite — the paper's
-// contribution — plus a run-everything driver used by the quickstart
-// example.
+// contribution — and the figure definitions built from it.
 #pragma once
 
 #include "suite/alu_fetch.hpp"
 #include "suite/block_size.hpp"
 #include "suite/bottleneck.hpp"
 #include "suite/domain_size.hpp"
+#include "suite/figures.hpp"
 #include "suite/kernelgen.hpp"
 #include "suite/microbench.hpp"
 #include "suite/read_latency.hpp"
 #include "suite/register_usage.hpp"
 #include "suite/write_latency.hpp"
-
-namespace amdmb::suite {
-
-/// Scales sweep densities / domains down for quick smoke runs.
-struct SuiteOptions {
-  bool quick = false;
-  /// Restrict to one GPU (empty = all three generations).
-  std::string arch_filter;
-};
-
-/// Runs a condensed version of every micro-benchmark on the selected
-/// GPUs and renders a textual report: crossovers, latency slopes, and
-/// register-pressure effects, each with the paper's qualitative claim
-/// alongside.
-std::string RunFullSuiteReport(const SuiteOptions& options);
-
-}  // namespace amdmb::suite

@@ -3,6 +3,7 @@
 // that turns a hung simulation into kCalTimeout.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -11,7 +12,9 @@
 #include "cal/cal_result.hpp"
 #include "common/status.hpp"
 #include "fault/fault.hpp"
+#include "report/record.hpp"
 #include "sim/gpu.hpp"
+#include "suite/figures.hpp"
 #include "suite/kernelgen.hpp"
 #include "suite/microbench.hpp"
 
@@ -341,6 +344,44 @@ TEST(InjectedHangTest, ResolvesAsTimeoutWithoutRunningForever) {
     FAIL() << "expected CalError";
   } catch (const cal::CalError& e) {
     EXPECT_EQ(e.Code(), cal::CalResult::kCalTimeout);
+  }
+}
+
+// ---- Supplement documents degrade instead of aborting ------------------
+
+report::Figure BuildRowLocalityQuick() {
+  const suite::figures::FigureDef* def =
+      suite::figures::Find("ablation_dram_row_activation_penalty_on_fills",
+                           suite::figures::Supplements());
+  if (def == nullptr) throw std::runtime_error("row-locality ablation");
+  suite::figures::RunOptions opts;
+  opts.quick = true;
+  return suite::figures::Build(*def, opts);
+}
+
+// The row-locality ablation once measured outside any sweep, so the
+// first injected launch fault escaped as an uncaught CalError.
+TEST(SupplementFaultTest, RowLocalityRecordsLaunchFaultsAsDegradations) {
+  ScopedFaultInjector scoped("launch:0.5,seed=7");
+  const report::Figure figure = BuildRowLocalityQuick();
+  ASSERT_FALSE(figure.degradations.empty());
+  for (const report::Degradation& d : figure.degradations) {
+    EXPECT_EQ(d.point.rfind("row_penalty_", 0), 0u) << d.Render();
+    EXPECT_NE(d.error.find("kCalLaunchFailed"), std::string::npos)
+        << d.Render();
+  }
+}
+
+TEST(SupplementFaultTest, RowLocalityHangsResolveAsTimeouts) {
+  ScopedFaultInjector scoped("hang:1");
+  const report::Figure figure = BuildRowLocalityQuick();
+  ASSERT_FALSE(figure.degradations.empty());
+  for (const report::Degradation& d : figure.degradations) {
+    EXPECT_EQ(d.status, "skipped") << d.Render();
+    EXPECT_NE(d.error.find("kCalTimeout"), std::string::npos) << d.Render();
+  }
+  for (const Series& series : figure.set.All()) {
+    EXPECT_TRUE(series.Points().empty()) << series.Name();
   }
 }
 

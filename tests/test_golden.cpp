@@ -2,10 +2,11 @@
 //
 // The determinism tests compare one run with another, so a change that
 // moves every number the same way passes them all. These digests do
-// not: each ctest case builds one document — a registry figure at quick
-// scale, dense or adaptive, or a quick kerncap characterization of a
-// valid corpus kernel, dense or adaptive — and compares its digest with
-// tests/golden/digests.json.
+// not: each ctest case builds one document — a registry figure or a
+// supplement (Table I, the Fig. 5 control, the ablations, the
+// block-size extension) at quick scale, dense or adaptive, or a quick
+// kerncap characterization of a valid corpus kernel, dense or adaptive
+// — and compares its digest with tests/golden/digests.json.
 //
 // Digest: FNV-1a 64 (standard offset basis) of report::BenchJson with
 // meta.suite_version and meta.threads blanked. This is the repo
@@ -106,6 +107,9 @@ void PrintTo(const GoldenCase& c, std::ostream* os) {
 bool IsKerncap(const GoldenCase& c) {
   return c.table.rfind("kerncap_", 0) == 0;
 }
+bool IsSupplement(const GoldenCase& c) {
+  return c.table.rfind("supplement_", 0) == 0;
+}
 bool IsAdaptive(const GoldenCase& c) {
   return c.table.find("adaptive") != std::string::npos;
 }
@@ -114,6 +118,14 @@ std::vector<GoldenCase> AllCases() {
   std::vector<GoldenCase> cases;
   for (const char* table : {"dense_quick", "adaptive_quick"}) {
     for (const suite::figures::FigureDef& def : suite::figures::Registry()) {
+      cases.push_back({table, def.slug});
+    }
+  }
+  // Kept out of dense_quick, whose size must equal the benchmark's.
+  for (const char* table :
+       {"supplement_dense_quick", "supplement_adaptive_quick"}) {
+    for (const suite::figures::FigureDef& def :
+         suite::figures::Supplements()) {
       cases.push_back({table, def.slug});
     }
   }
@@ -136,7 +148,9 @@ report::Figure BuildCase(const GoldenCase& c, std::string& slug) {
   const adapt::Settings settings{};
   const adapt::Settings* adaptive = IsAdaptive(c) ? &settings : nullptr;
   if (!IsKerncap(c)) {
-    const suite::figures::FigureDef* def = suite::figures::Find(c.key);
+    const suite::figures::FigureDef* def = suite::figures::Find(
+        c.key, IsSupplement(c) ? suite::figures::Supplements()
+                               : suite::figures::Registry());
     if (def == nullptr) throw std::runtime_error("unknown figure " + c.key);
     slug = def->slug;
     suite::figures::RunOptions opts;

@@ -1,9 +1,10 @@
 // Tests for the serve layer: the NDJSON wire protocol, figure-registry
-// lookups, the bounded FIFO-with-priority scheduler, the daemon end to
-// end over a real Unix-domain socket (byte-compatibility with the
-// standalone bench output, kernel-cache reuse, deterministic overload
-// and drain rejections, and event-stream determinism across runs), and
-// the supervised worker fleet (health state machine, consistent-hash
+// and supplement lookups, Build's cancellation between curves, the
+// bounded FIFO-with-priority scheduler, the daemon end to end over a
+// real Unix-domain socket (byte-compatibility with the standalone bench
+// output, kernel-cache reuse, deterministic overload and drain
+// rejections, and event-stream determinism across runs), and the
+// supervised worker fleet (health state machine, consistent-hash
 // routing, deadlines, failover, seeded crash/hang chaos).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -55,6 +56,7 @@ using suite::figures::Find;
 using suite::figures::NormalizeSlug;
 using suite::figures::Registry;
 using suite::figures::RunOptions;
+using suite::figures::Supplements;
 
 // ---------------------------------------------------------------- protocol
 
@@ -288,7 +290,6 @@ TEST(FigureRegistry, CoversFigures7Through17) {
   for (const FigureDef& def : Registry()) {
     EXPECT_EQ(def.slug, report::FigureSlug(def.id)) << def.id;
     EXPECT_FALSE(def.curves.empty()) << def.slug;
-    EXPECT_FALSE(def.bench_prefix.empty()) << def.slug;
   }
 }
 
@@ -300,6 +301,27 @@ TEST(FigureRegistry, FindAcceptsAnySpelling) {
   EXPECT_EQ(Find("FIG_07"), canonical);
   EXPECT_EQ(Find("fig_99"), nullptr);
   EXPECT_EQ(Find(""), nullptr);
+}
+
+// The supplements build like figures but are not served: only their
+// own list reaches them.
+TEST(FigureRegistry, SupplementsAreFoundOnlyInTheirOwnList) {
+  std::vector<std::string> slugs;
+  for (const FigureDef& def : Supplements()) slugs.push_back(def.slug);
+  const std::vector<std::string> expected = {
+      "table_i",
+      "extension_compute_block_size_explorer",
+      "ablation_clause_usage_control_paper_fig_5",
+      "ablation_2_d_cache_set_indexing",
+      "ablation_wavefront_residency_cap",
+      "ablation_dram_row_activation_penalty_on_fills"};
+  EXPECT_EQ(slugs, expected);
+  for (const FigureDef& def : Supplements()) {
+    EXPECT_EQ(def.slug, report::FigureSlug(def.id)) << def.id;
+    EXPECT_FALSE(def.curves.empty()) << def.slug;
+    EXPECT_EQ(Find(def.slug, Supplements()), &def);
+    EXPECT_EQ(Find(def.slug), nullptr) << def.slug;
+  }
 }
 
 // --------------------------------------------------------------- scheduler
@@ -569,7 +591,6 @@ struct TestRegistry {
   TestRegistry() {
     FigureDef tiny;
     tiny.slug = "fig_91";
-    tiny.bench_prefix = "Fig91";
     tiny.id = "Fig. 91 — Serve Test";
     tiny.title = "Serve Test";
     tiny.x_label = "x";
@@ -581,20 +602,17 @@ struct TestRegistry {
            Series& series = figure.set.Get("alpha");
            series.Add(1.0, 10.0);
            if (!opts.quick) series.Add(2.0, 20.0);
-           return series.Points().back().y;
          }});
     tiny.curves.push_back(
         {"beta", [](report::Figure& figure, const RunOptions&) {
            figure.set.Get("beta").Add(1.0, 100.0);
            figure.findings.push_back({report::FindingKind::kPlateau,
                                       "beta", "peak", 100.0, "y", ""});
-           return 100.0;
          }});
     defs.push_back(std::move(tiny));
 
     FigureDef blocking;
     blocking.slug = "fig_92";
-    blocking.bench_prefix = "Fig92";
     blocking.id = "Fig. 92 — Serve Block Test";
     blocking.title = "Serve Block Test";
     blocking.x_label = "x";
@@ -605,13 +623,11 @@ struct TestRegistry {
         {"wait", [gate = gate](report::Figure& figure, const RunOptions&) {
            gate.wait();
            figure.set.Get("wait").Add(1.0, 1.0);
-           return 1.0;
          }});
     defs.push_back(std::move(blocking));
 
     FigureDef failing;
     failing.slug = "fig_93";
-    failing.bench_prefix = "Fig93";
     failing.id = "Fig. 93 — Serve Error Test";
     failing.title = "Serve Error Test";
     failing.x_label = "x";
@@ -619,12 +635,41 @@ struct TestRegistry {
     failing.paper_claim = "none";
     failing.what = "throws mid-sweep";
     failing.curves.push_back(
-        {"boom", [](report::Figure&, const RunOptions&) -> double {
+        {"boom", [](report::Figure&, const RunOptions&) {
            throw ConfigError("synthetic sweep failure");
          }});
     defs.push_back(std::move(failing));
   }
 };
+
+// The interrupt contract of the bench binaries: once the token fires,
+// Build finishes the running curve and starts no other.
+TEST(FigureBuild, CancelDuringCurveZeroKeepsOnlyItsSeries) {
+  const TestRegistry registry;
+  exec::CancelToken cancel;
+  RunOptions opts;
+  opts.cancel = &cancel;
+  const report::Figure figure = suite::figures::Build(
+      registry.defs[0], opts,
+      [&](std::size_t index, std::size_t, const std::string&,
+          const report::Figure&) {
+        if (index == 0) cancel.Cancel();
+      });
+  ASSERT_EQ(figure.set.All().size(), 1u);
+  EXPECT_EQ(figure.set.All().front().Name(), "alpha");
+  EXPECT_TRUE(figure.findings.empty());  // Only curve "beta" adds one.
+}
+
+TEST(FigureBuild, CancelBeforeBuildYieldsNoSeries) {
+  const TestRegistry registry;
+  exec::CancelToken cancel;
+  cancel.Cancel();
+  RunOptions opts;
+  opts.cancel = &cancel;
+  const report::Figure figure = suite::figures::Build(registry.defs[0], opts);
+  EXPECT_TRUE(figure.set.All().empty());
+  EXPECT_EQ(figure.id, registry.defs[0].id);
+}
 
 std::string TestSocketPath(const char* name) {
   std::ostringstream os;
@@ -1223,11 +1268,9 @@ struct FleetRegistry {
   std::vector<FigureDef> defs;
 
   explicit FleetRegistry(const std::string& gate_path) {
-    const auto make = [](const char* slug, const char* prefix,
-                         const char* id) {
+    const auto make = [](const char* slug, const char* id) {
       FigureDef def;
       def.slug = slug;
-      def.bench_prefix = prefix;
       def.id = id;
       def.title = id;
       def.x_label = "x";
@@ -1236,30 +1279,27 @@ struct FleetRegistry {
       def.what = "fleet test fixture";
       return def;
     };
-    FigureDef instant = make("fig_94", "Fig94", "Fig. 94 — Fleet Instant");
+    FigureDef instant = make("fig_94", "Fig. 94 — Fleet Instant");
     instant.curves.push_back(
         {"alpha", [](report::Figure& figure, const RunOptions&) {
            figure.set.Get("alpha").Add(1.0, 10.0);
-           return 10.0;
          }});
     defs.push_back(std::move(instant));
 
-    FigureDef gated = make("fig_95", "Fig95", "Fig. 95 — Fleet Gated");
+    FigureDef gated = make("fig_95", "Fig. 95 — Fleet Gated");
     gated.curves.push_back(
         {"wait", [gate_path](report::Figure& figure, const RunOptions&) {
            if (!WaitForFile(gate_path, 30000)) {
              throw ConfigError("fleet gate file never appeared");
            }
            figure.set.Get("wait").Add(1.0, 1.0);
-           return 1.0;
          }});
     defs.push_back(std::move(gated));
 
-    FigureDef streaming = make("fig_96", "Fig96", "Fig. 96 — Fleet Stream");
+    FigureDef streaming = make("fig_96", "Fig. 96 — Fleet Stream");
     streaming.curves.push_back(
         {"head", [](report::Figure& figure, const RunOptions&) {
            figure.set.Get("head").Add(1.0, 2.0);
-           return 2.0;
          }});
     streaming.curves.push_back(
         {"tail", [gate_path](report::Figure& figure, const RunOptions&) {
@@ -1267,7 +1307,6 @@ struct FleetRegistry {
              throw ConfigError("fleet gate file never appeared");
            }
            figure.set.Get("tail").Add(1.0, 3.0);
-           return 3.0;
          }});
     defs.push_back(std::move(streaming));
   }
@@ -2014,7 +2053,6 @@ TEST(ServeFleet, WorkerForkedAfterASweepCanSweep) {
   FleetRegistry registry(TestGatePath("fleet_fork"));  // Gate unused.
   FigureDef sweep;
   sweep.slug = "fig_97";
-  sweep.bench_prefix = "Fig97";
   sweep.id = sweep.title = "Fig. 97 — Fleet Sweep";
   sweep.x_label = sweep.y_label = "x";
   sweep.paper_claim = "none";
@@ -2023,7 +2061,6 @@ TEST(ServeFleet, WorkerForkedAfterASweepCanSweep) {
       {"squares", [square](report::Figure& figure, const RunOptions&) {
          const auto values = exec::SweepExecutor::Default().Map(8, square);
          figure.set.Get("squares").Add(1.0, static_cast<double>(values[7]));
-         return 1.0;
        }});
   registry.defs.push_back(std::move(sweep));
   SupervisorConfig config = FleetConfig("fleet_fork", registry, 1);

@@ -172,17 +172,5 @@ TEST(AdvisorTest, SuggestionsTrackBottleneck) {
   EXPECT_TRUE(mentions_block);
 }
 
-TEST(SuiteReportTest, QuickReportMentionsEveryFigure) {
-  SuiteOptions options;
-  options.quick = true;
-  options.arch_filter = "RV770";
-  const std::string report = RunFullSuiteReport(options);
-  for (const char* needle :
-       {"TABLE I", "Fig. 7", "Figs. 11-12", "Figs. 13-14", "Fig. 16",
-        "4870 Pixel Float"}) {
-    EXPECT_NE(report.find(needle), std::string::npos) << needle;
-  }
-}
-
 }  // namespace
 }  // namespace amdmb::suite
