@@ -6,7 +6,8 @@
 // supplement (Table I, the Fig. 5 control, the ablations, the
 // block-size extension) at quick scale, dense or adaptive, or a quick
 // kerncap characterization of a valid corpus kernel, dense or adaptive
-// — and compares its digest with tests/golden/digests.json.
+// — and compares its digest with tests/golden/digests.json. One more
+// case pins the kerncap cross-check points (kernels and launches).
 //
 // Digest: FNV-1a 64 (standard offset basis) of report::BenchJson with
 // meta.suite_version and meta.threads blanked. This is the repo
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "adapt/refiner.hpp"
+#include "il/printer.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/intake.hpp"
 #include "report/json.hpp"
@@ -217,6 +219,35 @@ TEST(GoldenFile, DenseQuickMatchesBenchmark) {
     EXPECT_EQ(pinned->AsString(), digest.AsString()) << slug;
   }
   EXPECT_EQ(ours->AsObject().size(), theirs->AsObject().size());
+}
+
+// CrossCheckPoints feeds the kerncap cross-validation and the repo
+// benchmark's layer replay, which reports the points' sim.* and mem.*
+// sums as exact. One digest over every point, in order, pins each
+// point's identity, architecture, launch and generated IL.
+TEST(GoldenFile, CrossCheckPointsAreUnchanged) {
+  std::ostringstream text;
+  for (const suite::figures::CrossCheckPoint& p :
+       suite::figures::CrossCheckPoints()) {
+    const sim::LaunchConfig& c = p.config;
+    text << p.figure << '|' << p.curve << '|' << p.point << '|'
+         << p.arch.name << '|' << p.arch.l1.two_d_index << '|'
+         << c.domain.width << 'x' << c.domain.height << '|'
+         << static_cast<int>(c.mode) << '|' << c.block.x << 'x' << c.block.y
+         << '|' << c.repetitions << '|' << c.watchdog_cycles << '|'
+         << c.profile << '\n'
+         << il::Print(p.kernel) << '\n';
+  }
+  char actual[17];
+  std::snprintf(actual, sizeof(actual), "%016llx",
+                static_cast<unsigned long long>(Fnv1a64(text.str())));
+  const report::JsonValue* table = Table(Golden(), "cross_check");
+  ASSERT_NE(table, nullptr);
+  const report::JsonValue* pinned = table->Find("points");
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->AsString(), actual)
+      << "to accept, set in digests[\"cross_check\"]:\n  \"points\": \""
+      << actual << "\"";
 }
 
 }  // namespace
