@@ -1,6 +1,5 @@
 #include "kerncap/characterize.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "common/status.hpp"
@@ -80,45 +79,33 @@ void RunCurve(report::Figure& figure, const Prepared& prepared,
   const auto name_of = [&](std::size_t i) {
     return "domain_" + std::to_string(domains[i]);
   };
-  exec::RunReport report;
-  std::optional<adapt::Outcome> outcome;
   // Retry behaviour is pinned (not RetryPolicy::FromEnv) so the ladder,
   // and with it the document, matches across daemon flavors regardless
   // of the host's AMDMB_RETRY.
-  const std::vector<Rung> rungs = suite::SweepPoints<Rung>(
+  const suite::SweepOptions sweep{.profile = true,
+                                  .executor = options.executor,
+                                  .retry = exec::RetryPolicy{}};
+  suite::SweepResult<Rung> rungs;
+  suite::SweepPoints<Rung>(
       domains.size(), [&](std::size_t i) { return wavefronts_of(domains[i]); },
       [&](std::size_t i, unsigned attempt) {
-        sim::LaunchConfig launch;
-        launch.domain = Domain{domains[i], domains[i]};
-        launch.mode = key.mode;
-        launch.block = BlockShape{64, 1};
-        launch.repetitions = suite::kPaperRepetitions;
+        sim::LaunchConfig launch = sweep.Launch(
+            Domain{domains[i], domains[i]}, key.mode, BlockShape{64, 1});
         launch.watchdog_cycles = options.watchdog_cycles;
-        launch.profile = true;
         return Rung{domains[i],
                     MeasureAt(prepared, key.arch, launch, name_of(i), attempt)};
       },
-      name_of, options.adaptive, options.executor, exec::RetryPolicy{},
-      /*cancel=*/nullptr, &report, &outcome);
+      name_of, sweep, options.adaptive, rungs);
 
   Series& series = figure.set.Get(name);
-  for (const Rung& rung : rungs) {
+  for (const Rung& rung : rungs.points) {
     series.Add(wavefronts_of(rung.domain), rung.m.seconds);
-    figure.profiles.push_back(report::MakeProfileEntry(
-        name, *rung.m.profile, sim::ToString(rung.m.stats.bottleneck)));
   }
-  for (report::Degradation& d : report::DegradationsFrom(report, name)) {
-    figure.degradations.push_back(std::move(d));
-  }
-  Require(!rungs.empty() && rungs.back().domain == domains.back(),
+  suite::figures::Note(figure, name, rungs);
+  Require(!rungs.points.empty() && rungs.points.back().domain == domains.back(),
           "kerncap: operating point failed");
-  OperatingPointFindings(figure, name, rungs.back().m);
-  if (outcome.has_value()) {
-    for (report::Finding& f :
-         adapt::AdaptiveFindings(*outcome, name, "wavefronts")) {
-      figure.findings.push_back(std::move(f));
-    }
-  }
+  OperatingPointFindings(figure, name, rungs.points.back().m);
+  rungs.AppendAdaptiveFindings(figure.findings, name, "wavefronts");
 }
 
 }  // namespace

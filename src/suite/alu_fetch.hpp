@@ -14,10 +14,11 @@
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct AluFetchConfig {
+struct AluFetchConfig : SweepOptions {
   unsigned inputs = 16;
   unsigned outputs = 1;
   double ratio_min = 0.25;
@@ -27,20 +28,6 @@ struct AluFetchConfig {
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;
   WritePath write_path = WritePath::kStream;
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default,
-  /// AMDMB_THREADS workers). Results are bit-identical at any width.
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
   /// Non-null switches the sweep to adaptive refinement (adapt::Refiner):
   /// only the coarse pass plus bisection points around bottleneck flips
   /// are measured. Dense output is unchanged when null.
@@ -52,17 +39,16 @@ struct AluFetchPoint {
   Measurement m;
 };
 
-struct AluFetchResult {
-  std::vector<AluFetchPoint> points;  ///< Successful points only.
+struct AluFetchResult : SweepResult<AluFetchPoint> {
   /// First swept ratio at which the simulator classifies the kernel as
   /// ALU-bound, if it happens within the sweep.
   std::optional<double> crossover;
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record (points spent, typed transitions); present only
-  /// when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
 };
+
+/// The kernel the sweep measures at `ratio`, named "alufetch_r<ratio>".
+/// Compute mode writes globally whatever `config.write_path` says.
+il::Kernel AluFetchKernel(const AluFetchConfig& config, ShaderMode mode,
+                          DataType type, double ratio);
 
 AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
                            DataType type, const AluFetchConfig& config);

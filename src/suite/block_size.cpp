@@ -4,7 +4,6 @@
 
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
-#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
@@ -48,25 +47,20 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
            std::to_string(shapes[i].y);
   };
   BlockSizeResult result;
-  result.points = SweepPoints<BlockSizePoint>(
+  SweepPoints<BlockSizePoint>(
       shapes.size(),
       [&](std::size_t i) {
         return std::log2(static_cast<double>(shapes[i].x));
       },
       [&](std::size_t i, unsigned attempt) {
-        sim::LaunchConfig launch;
-        launch.domain = config.domain;
-        launch.mode = ShaderMode::kCompute;
-        launch.block = shapes[i];
-        launch.repetitions = config.repetitions;
-        launch.profile = config.profile;
-        BlockSizePoint point;
-        point.block = shapes[i];
-        point.m = runner.Measure(kernel, launch, {name_of(i), attempt});
-        return point;
+        return BlockSizePoint{
+            shapes[i],
+            runner.Measure(kernel,
+                           config.Launch(config.domain, ShaderMode::kCompute,
+                                         shapes[i]),
+                           {name_of(i), attempt})};
       },
-      name_of, /*adaptive=*/nullptr, config.executor, config.retry,
-      config.cancel, &result.report, /*outcome=*/nullptr);
+      name_of, config, /*adaptive=*/nullptr, result);
 
   double naive_seconds = 0.0;
   bool first = true;

@@ -14,27 +14,15 @@
 
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct BlockSizeConfig {
+struct BlockSizeConfig : SweepOptions {
   unsigned inputs = 16;
   double alu_fetch_ratio = 0.25;  ///< Fetch-bound, so block shape matters.
   DataType type = DataType::kFloat4;
   Domain domain{1024, 1024};
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
 };
 
 struct BlockSizePoint {
@@ -42,14 +30,13 @@ struct BlockSizePoint {
   Measurement m;
 };
 
-struct BlockSizeResult {
-  std::vector<BlockSizePoint> points;  ///< Successful shapes, wide to tall.
+/// Points run wide to tall; the explorer always sweeps densely, so
+/// `adaptive` stays empty.
+struct BlockSizeResult : SweepResult<BlockSizePoint> {
   BlockShape best;
   double best_seconds = 0.0;
   /// Slowdown of the naive 64x1 shape relative to the best.
   double naive_penalty = 1.0;
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
 };
 
 /// All one-wavefront rectangular block shapes for the wavefront size

@@ -2,19 +2,11 @@
 
 #include "common/status.hpp"
 #include "suite/kernelgen.hpp"
-#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
-                               DataType type, const DomainSizeConfig& config) {
-  Require(config.min_size > 0 && config.max_size >= config.min_size,
-          "DomainSize: invalid sweep");
-  const unsigned increment = mode == ShaderMode::kPixel
-                                 ? config.pixel_increment
-                                 : config.compute_increment;
-  Require(increment > 0, "DomainSize: increment must be positive");
-
+il::Kernel DomainSizeKernel(const DomainSizeConfig& config, ShaderMode mode,
+                            DataType type) {
   GenericSpec spec;
   spec.inputs = config.inputs;
   spec.outputs = 1;
@@ -24,7 +16,18 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
   spec.write_path =
       mode == ShaderMode::kCompute ? WritePath::kGlobal : WritePath::kStream;
   spec.name = "domain_sweep";
-  const il::Kernel kernel = GenerateGeneric(spec);
+  return GenerateGeneric(spec);
+}
+
+DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
+                               DataType type, const DomainSizeConfig& config) {
+  Require(config.min_size > 0 && config.max_size >= config.min_size,
+          "DomainSize: invalid sweep");
+  const unsigned increment = mode == ShaderMode::kPixel
+                                 ? config.pixel_increment
+                                 : config.compute_increment;
+  Require(increment > 0, "DomainSize: increment must be positive");
+  const il::Kernel kernel = DomainSizeKernel(config, mode, type);
 
   std::vector<unsigned> sizes;
   for (unsigned size = config.min_size; size <= config.max_size;
@@ -36,23 +39,18 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
     return "domain_" + std::to_string(sizes[i]);
   };
   DomainSizeResult result;
-  result.points = SweepPoints<DomainSizePoint>(
+  SweepPoints<DomainSizePoint>(
       sizes.size(),
       [&](std::size_t i) { return static_cast<double>(sizes[i]); },
       [&](std::size_t i, unsigned attempt) {
-        sim::LaunchConfig launch;
-        launch.domain = Domain{sizes[i], sizes[i]};
-        launch.mode = mode;
-        launch.block = config.block;
-        launch.repetitions = config.repetitions;
-        launch.profile = config.profile;
-        DomainSizePoint point;
-        point.size = sizes[i];
-        point.m = runner.Measure(kernel, launch, {name_of(i), attempt});
-        return point;
+        return DomainSizePoint{
+            sizes[i],
+            runner.Measure(
+                kernel,
+                config.Launch(Domain{sizes[i], sizes[i]}, mode, config.block),
+                {name_of(i), attempt})};
       },
-      name_of, config.adaptive, config.executor, config.retry, config.cancel,
-      &result.report, &result.adaptive);
+      name_of, config, config.adaptive, result);
   return result;
 }
 
@@ -67,12 +65,7 @@ std::vector<report::Finding> Findings(const DomainSizeResult& result,
   findings.push_back({report::FindingKind::kPlateau, curve,
                       "max_domain_seconds", result.points.back().m.seconds,
                       "s", ""});
-  if (result.adaptive.has_value()) {
-    // Adaptive-only: dense documents must stay byte-identical.
-    const auto extra =
-        adapt::AdaptiveFindings(*result.adaptive, curve, "size");
-    findings.insert(findings.end(), extra.begin(), extra.end());
-  }
+  result.AppendAdaptiveFindings(findings, curve, "size");
   return findings;
 }
 

@@ -7,16 +7,16 @@
 // that a large thread count is needed to keep the GPU busy.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct DomainSizeConfig {
+struct DomainSizeConfig : SweepOptions {
   unsigned min_size = 256;
   unsigned max_size = 1024;
   unsigned pixel_increment = 8;     ///< Paper: 8x8 steps in pixel mode.
@@ -24,19 +24,6 @@ struct DomainSizeConfig {
   unsigned inputs = 8;
   double alu_fetch_ratio = 10.0;
   BlockShape block{64, 1};
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
   /// Non-null switches the sweep to adaptive refinement (adapt::Refiner).
   const adapt::Settings* adaptive = nullptr;
 };
@@ -46,13 +33,12 @@ struct DomainSizePoint {
   Measurement m;
 };
 
-struct DomainSizeResult {
-  std::vector<DomainSizePoint> points;  ///< Successful points only.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
-};
+using DomainSizeResult = SweepResult<DomainSizePoint>;
+
+/// The one kernel the sweep launches at every domain, named
+/// "domain_sweep".
+il::Kernel DomainSizeKernel(const DomainSizeConfig& config, ShaderMode mode,
+                            DataType type);
 
 DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
                                DataType type, const DomainSizeConfig& config);

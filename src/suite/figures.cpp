@@ -1,34 +1,82 @@
 // The figure registry: every numbered paper figure as data + code, plus
 // Build and the helpers the supplements share (supplements.cpp).
 //
-// Each Make* function below is the former bench binary's Register()
-// body, lifted verbatim: same curve order, same config shapes, same
-// findings — so a registry build is byte-identical (through BenchJson)
-// to what the standalone binary writes. Quick scale comes from
-// RunOptions instead of the AMDMB_QUICK snapshot so the serve daemon
-// can honor a request's quick flag without re-exec'ing.
+// Each Make* function below keeps the former bench binary's curve
+// order, config shapes and findings, so a registry build is
+// byte-identical (through BenchJson) to what the standalone binary
+// wrote. Quick scale comes from RunOptions instead of the AMDMB_QUICK
+// snapshot so the serve daemon can honor a request's quick flag without
+// re-exec'ing.
 #include "suite/figures.hpp"
 
 #include <algorithm>
 #include <cctype>
 #include <utility>
 
-#include "common/table.hpp"
 #include "suite/suite.hpp"
 
 namespace amdmb::suite::figures {
 
 namespace {
 
+// One config per figure variant, shared by the figure's curves and
+// CrossCheckPoints, so its read path, write path and block shape are
+// stated once.
 AluFetchConfig QuickAluFetch(const RunOptions& opts) {
-  AluFetchConfig config;
+  AluFetchConfig config = Quick<AluFetchConfig>(opts);
+  if (opts.quick) config.ratio_step = 1.0;
+  return config;
+}
+
+AluFetchConfig Fig8Config(const RunOptions& opts) {
+  AluFetchConfig config = QuickAluFetch(opts);
+  config.block = BlockShape{4, 16};
+  return config;
+}
+
+AluFetchConfig Fig9Config(const RunOptions& opts) {
+  AluFetchConfig config = QuickAluFetch(opts);
+  config.read_path = ReadPath::kGlobal;
+  config.write_path = WritePath::kStream;
+  return config;
+}
+
+AluFetchConfig Fig10Config(const RunOptions& opts) {
+  AluFetchConfig config = Fig9Config(opts);
+  config.write_path = WritePath::kGlobal;
+  return config;
+}
+
+ReadLatencyConfig Fig12Config(const RunOptions& opts) {
+  ReadLatencyConfig config = Quick<ReadLatencyConfig>(opts);
+  config.read_path = ReadPath::kGlobal;
+  return config;
+}
+
+WriteLatencyConfig Fig13Config(const RunOptions& opts) {
+  WriteLatencyConfig config = Quick<WriteLatencyConfig>(opts);
+  config.write_path = WritePath::kStream;
+  return config;
+}
+
+WriteLatencyConfig Fig14Config(const RunOptions& opts) {
+  WriteLatencyConfig config = Quick<WriteLatencyConfig>(opts);
+  config.write_path = WritePath::kGlobal;
+  return config;
+}
+
+DomainSizeConfig Fig15Config(const RunOptions& opts) {
+  DomainSizeConfig config = Quick<DomainSizeConfig>(opts);
   if (opts.quick) {
-    config.domain = Domain{256, 256};
-    config.ratio_step = 1.0;
+    config.max_size = 512;
+    config.pixel_increment = 64;
   }
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
+  return config;
+}
+
+RegisterUsageConfig Fig17Config(const RunOptions& opts) {
+  RegisterUsageConfig config = Quick<RegisterUsageConfig>(opts);
+  config.block = BlockShape{4, 16};
   return config;
 }
 
@@ -48,16 +96,13 @@ FigureDef MakeFig7() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const AluFetchConfig config = QuickAluFetch(opts);
-           Runner runner(key.arch);
-           const AluFetchResult r =
-               RunAluFetch(runner, key.mode, key.type, config);
+           const AluFetchResult r = RunAluFetch(Runner(key.arch), key.mode,
+                                                key.type, QuickAluFetch(opts));
            Series& series = fig.set.Get(key.Name());
            for (const AluFetchPoint& p : r.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           NoteFaults(fig, key.Name(), r.report);
-           NoteProfiles(fig, key.Name(), r.points);
+           Note(fig, key.Name(), r);
            if (r.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
          }});
@@ -80,23 +125,17 @@ FigureDef MakeFig8() {
   for (const CurveKey& key : PaperCurves(/*include_pixel=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           AluFetchConfig blocked_config = QuickAluFetch(opts);
-           blocked_config.block = BlockShape{4, 16};
-           AluFetchConfig naive_config = QuickAluFetch(opts);
-           naive_config.block = BlockShape{64, 1};
-           Runner runner(key.arch);
+           const Runner runner(key.arch);
            const AluFetchResult blocked =
-               RunAluFetch(runner, key.mode, key.type, blocked_config);
+               RunAluFetch(runner, key.mode, key.type, Fig8Config(opts));
            const AluFetchResult naive =
-               RunAluFetch(runner, key.mode, key.type, naive_config);
+               RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
            Series& series = fig.set.Get(key.Name());
            for (const AluFetchPoint& p : blocked.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           NoteFaults(fig, key.Name() + " 4x16", blocked.report);
-           NoteProfiles(fig, key.Name() + " 4x16", blocked.points);
-           NoteFaults(fig, key.Name() + " 64x1", naive.report);
-           NoteProfiles(fig, key.Name() + " 64x1", naive.points);
+           Note(fig, key.Name() + " 4x16", blocked);
+           Note(fig, key.Name() + " 64x1", naive);
            if (blocked.points.empty() || naive.points.empty()) return;
            Append(fig, Findings(blocked, key.Name()));
            fig.findings.push_back(
@@ -125,25 +164,18 @@ FigureDef MakeFig9() {
                                          /*include_compute=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           AluFetchConfig config = QuickAluFetch(opts);
-           config.read_path = ReadPath::kGlobal;
-           config.write_path = WritePath::kStream;
-           Runner runner(key.arch);
+           const Runner runner(key.arch);
            const AluFetchResult r =
-               RunAluFetch(runner, key.mode, key.type, config);
+               RunAluFetch(runner, key.mode, key.type, Fig9Config(opts));
            // Texture-read counterpart for the paper's comparison.
-           AluFetchConfig tex = config;
-           tex.read_path = ReadPath::kTexture;
            const AluFetchResult t =
-               RunAluFetch(runner, key.mode, key.type, tex);
+               RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
            Series& series = fig.set.Get(key.Name());
            for (const AluFetchPoint& p : r.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           NoteFaults(fig, key.Name() + " global", r.report);
-           NoteProfiles(fig, key.Name() + " global", r.points);
-           NoteFaults(fig, key.Name() + " texture", t.report);
-           NoteProfiles(fig, key.Name() + " texture", t.points);
+           Note(fig, key.Name() + " global", r);
+           Note(fig, key.Name() + " texture", t);
            if (r.points.empty() || t.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
            fig.findings.push_back(
@@ -172,27 +204,21 @@ FigureDef MakeFig10() {
   for (const CurveKey& key : PaperCurves(true, true, archs)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           AluFetchConfig global_config = QuickAluFetch(opts);
-           global_config.read_path = ReadPath::kGlobal;
-           global_config.write_path = WritePath::kGlobal;
-           Runner runner(key.arch);
+           const Runner runner(key.arch);
            const AluFetchResult global =
-               RunAluFetch(runner, key.mode, key.type, global_config);
+               RunAluFetch(runner, key.mode, key.type, Fig10Config(opts));
            Series& series = fig.set.Get(key.Name());
            for (const AluFetchPoint& p : global.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           NoteFaults(fig, key.Name(), global.report);
-           NoteProfiles(fig, key.Name(), global.points);
+           Note(fig, key.Name(), global);
            if (global.points.empty()) return;
            Append(fig, Findings(global, key.Name()));
            if (key.mode == ShaderMode::kPixel) {
-             AluFetchConfig stream_config = global_config;
-             stream_config.write_path = WritePath::kStream;
+             // Stream-write counterpart (Fig. 9's config).
              const AluFetchResult stream =
-                 RunAluFetch(runner, key.mode, key.type, stream_config);
-             NoteFaults(fig, key.Name() + " stream", stream.report);
-             NoteProfiles(fig, key.Name() + " stream", stream.points);
+                 RunAluFetch(runner, key.mode, key.type, Fig9Config(opts));
+             Note(fig, key.Name() + " stream", stream);
              if (!stream.points.empty()) {
                fig.findings.push_back(
                    {report::FindingKind::kRatio, key.Name(),
@@ -209,15 +235,15 @@ FigureDef MakeFig10() {
   return def;
 }
 
-template <typename Result>
 void ReadLatencyCurve(report::Figure& fig, const CurveKey& key,
-                      const Result& r) {
+                      const ReadLatencyConfig& config) {
+  const ReadLatencyResult r =
+      RunReadLatency(Runner(key.arch), key.mode, key.type, config);
   Series& series = fig.set.Get(key.Name());
   for (const ReadLatencyPoint& p : r.points) {
     series.Add(p.inputs, p.m.seconds);
   }
-  NoteFaults(fig, key.Name(), r.report);
-  NoteProfiles(fig, key.Name(), r.points);
+  Note(fig, key.Name(), r);
   if (r.points.empty()) return;
   Append(fig, Findings(r, key.Name()));
 }
@@ -237,10 +263,7 @@ FigureDef MakeFig11() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           Runner runner(key.arch);
-           ReadLatencyCurve(fig, key,
-                            RunReadLatency(runner, key.mode, key.type,
-                                           QuickReadLatency(opts)));
+           ReadLatencyCurve(fig, key, Quick<ReadLatencyConfig>(opts));
          }});
   }
   return def;
@@ -261,23 +284,30 @@ FigureDef MakeFig12() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           ReadLatencyConfig config = QuickReadLatency(opts);
-           config.read_path = ReadPath::kGlobal;
-           Runner runner(key.arch);
-           ReadLatencyCurve(
-               fig, key, RunReadLatency(runner, key.mode, key.type, config));
+           ReadLatencyCurve(fig, key, Fig12Config(opts));
          }});
   }
   return def;
 }
 
-WriteLatencyConfig QuickWriteLatency(const RunOptions& opts) {
-  WriteLatencyConfig config;
-  if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
-  return config;
+// Figs. 13-14: the latency fit, its slope annotated with the bottleneck
+// of the sweep's first (Fig. 13) or last (Fig. 14) point.
+void WriteLatencyCurve(report::Figure& fig, const CurveKey& key,
+                       const WriteLatencyConfig& config, bool last) {
+  const WriteLatencyResult r =
+      RunWriteLatency(Runner(key.arch), key.mode, key.type, config);
+  Series& series = fig.set.Get(key.Name());
+  for (const WriteLatencyPoint& p : r.points) {
+    series.Add(p.outputs, p.m.seconds);
+  }
+  Note(fig, key.Name(), r);
+  if (r.points.empty()) return;
+  std::vector<report::Finding> findings = Findings(r, key.Name());
+  const WriteLatencyPoint& end = last ? r.points.back() : r.points.front();
+  findings.front().detail = std::string(last ? "last" : "first") +
+                            " point bottleneck " +
+                            std::string(sim::ToString(end.m.stats.bottleneck));
+  Append(fig, std::move(findings));
 }
 
 FigureDef MakeFig13() {
@@ -296,24 +326,7 @@ FigureDef MakeFig13() {
                                          /*include_compute=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           WriteLatencyConfig config = QuickWriteLatency(opts);
-           config.write_path = WritePath::kStream;
-           Runner runner(key.arch);
-           const WriteLatencyResult r =
-               RunWriteLatency(runner, key.mode, key.type, config);
-           Series& series = fig.set.Get(key.Name());
-           for (const WriteLatencyPoint& p : r.points) {
-             series.Add(p.outputs, p.m.seconds);
-           }
-           NoteFaults(fig, key.Name(), r.report);
-           NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return;
-           std::vector<report::Finding> findings = Findings(r, key.Name());
-           findings.front().detail =
-               "first point bottleneck " +
-               std::string(
-                   sim::ToString(r.points.front().m.stats.bottleneck));
-           Append(fig, std::move(findings));
+           WriteLatencyCurve(fig, key, Fig13Config(opts), /*last=*/false);
          }});
   }
   return def;
@@ -333,24 +346,7 @@ FigureDef MakeFig14() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           WriteLatencyConfig config = QuickWriteLatency(opts);
-           config.write_path = WritePath::kGlobal;
-           Runner runner(key.arch);
-           const WriteLatencyResult r =
-               RunWriteLatency(runner, key.mode, key.type, config);
-           Series& series = fig.set.Get(key.Name());
-           for (const WriteLatencyPoint& p : r.points) {
-             series.Add(p.outputs, p.m.seconds);
-           }
-           NoteFaults(fig, key.Name(), r.report);
-           NoteProfiles(fig, key.Name(), r.points);
-           if (r.points.empty()) return;
-           std::vector<report::Finding> findings = Findings(r, key.Name());
-           findings.front().detail =
-               "last point bottleneck " +
-               std::string(
-                   sim::ToString(r.points.back().m.stats.bottleneck));
-           Append(fig, std::move(findings));
+           WriteLatencyCurve(fig, key, Fig14Config(opts), /*last=*/true);
          }});
   }
   return def;
@@ -388,15 +384,8 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
       def.curves.push_back(
           {std::string(ToString(mode)) + "/" + label,
            [key, label](report::Figure& fig, const RunOptions& opts) {
-             DomainSizeConfig config;
-             if (opts.quick) {
-               config.max_size = 512;
-               config.pixel_increment = 64;
-             }
-             config.executor = opts.executor;
-             config.cancel = opts.cancel;
-             config.adaptive = opts.adaptive;
-             Runner runner(key.arch);
+             const DomainSizeConfig config = Fig15Config(opts);
+             const Runner runner(key.arch);
              const DomainSizeResult f =
                  RunDomainSize(runner, key.mode, DataType::kFloat, config);
              const DomainSizeResult f4 =
@@ -405,10 +394,8 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
              for (const DomainSizePoint& p : f.points) {
                series.Add(p.size, p.m.seconds);
              }
-             NoteFaults(fig, label + " float", f.report);
-             NoteProfiles(fig, label + " float", f.points);
-             NoteFaults(fig, label + " float4", f4.report);
-             NoteProfiles(fig, label + " float4", f4.points);
+             Note(fig, label + " float", f);
+             Note(fig, label + " float4", f4);
              if (f.points.empty() || f4.points.empty()) return;
              Append(fig, Findings(f, label));
              fig.findings.push_back(
@@ -437,15 +424,14 @@ FigureDef MakeFig16() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           Runner runner(key.arch);
-           const RegisterUsageResult r = RunRegisterUsage(
-               runner, key.mode, key.type, QuickRegisterUsage(opts));
+           const RegisterUsageResult r =
+               RunRegisterUsage(Runner(key.arch), key.mode, key.type,
+                                Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(key.Name());
            for (const RegisterUsagePoint& p : r.points) {
              series.Add(p.gpr_count, p.m.seconds);
            }
-           NoteFaults(fig, key.Name(), r.report);
-           NoteProfiles(fig, key.Name(), r.points);
+           Note(fig, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.back().detail =
@@ -473,20 +459,14 @@ FigureDef MakeFig17() {
   for (const CurveKey& key : PaperCurves(/*include_pixel=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           RegisterUsageConfig blocked_config = QuickRegisterUsage(opts);
-           blocked_config.block = BlockShape{4, 16};
-           RegisterUsageConfig naive_config = QuickRegisterUsage(opts);
-           naive_config.block = BlockShape{64, 1};
-           Runner runner(key.arch);
-           const RegisterUsageResult blocked = RunRegisterUsage(
-               runner, key.mode, key.type, blocked_config);
-           const RegisterUsageResult naive =
-               RunRegisterUsage(runner, key.mode, key.type, naive_config);
+           const Runner runner(key.arch);
+           const RegisterUsageResult blocked =
+               RunRegisterUsage(runner, key.mode, key.type, Fig17Config(opts));
+           const RegisterUsageResult naive = RunRegisterUsage(
+               runner, key.mode, key.type, Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(key.Name());
-           NoteFaults(fig, key.Name() + " 4x16", blocked.report);
-           NoteProfiles(fig, key.Name() + " 4x16", blocked.points);
-           NoteFaults(fig, key.Name() + " 64x1", naive.report);
-           NoteProfiles(fig, key.Name() + " 64x1", naive.points);
+           Note(fig, key.Name() + " 4x16", blocked);
+           Note(fig, key.Name() + " 64x1", naive);
            double worst_gain = 1e9;
            const std::size_t paired =
                std::min(blocked.points.size(), naive.points.size());
@@ -594,35 +574,10 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
   return figure;
 }
 
-void NoteFaults(report::Figure& figure, const std::string& curve,
-                const exec::RunReport& run) {
-  for (report::Degradation& d : report::DegradationsFrom(run, curve)) {
-    figure.degradations.push_back(std::move(d));
-  }
-}
-
 void Append(report::Figure& figure, std::vector<report::Finding> findings) {
   for (report::Finding& f : findings) {
     figure.findings.push_back(std::move(f));
   }
-}
-
-ReadLatencyConfig QuickReadLatency(const RunOptions& opts) {
-  ReadLatencyConfig config;
-  if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
-  return config;
-}
-
-RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts) {
-  RegisterUsageConfig config;
-  if (opts.quick) config.domain = Domain{256, 256};
-  config.executor = opts.executor;
-  config.cancel = opts.cancel;
-  config.adaptive = opts.adaptive;
-  return config;
 }
 
 namespace {
@@ -641,153 +596,94 @@ std::vector<CurveKey> CrossCheckCurves(const std::vector<GpuArch>& archs,
   return curves;
 }
 
-sim::LaunchConfig CrossCheckLaunch(ShaderMode mode, BlockShape block) {
-  sim::LaunchConfig launch;
-  launch.domain = Domain{256, 256};  // The registry's quick scale.
-  launch.mode = mode;
-  launch.block = block;
-  launch.repetitions = kPaperRepetitions;
-  launch.profile = true;
-  return launch;
-}
-
 }  // namespace
 
 std::vector<CrossCheckPoint> CrossCheckPoints() {
   std::vector<CrossCheckPoint> points;
   const std::vector<GpuArch> all = AllArchs();
   const std::vector<GpuArch> ten_series = {MakeRV770(), MakeRV870()};
+  RunOptions quick;
+  quick.quick = true;
 
+  // Every point is profiled at the quick domain with its figure's quick
+  // config, and labelled like the sweep's point: the kernel's name,
+  // except in the domain sweep, whose one kernel serves every domain.
   const auto add = [&](const std::string& figure, const CurveKey& key,
-                       const std::string& label, il::Kernel kernel,
-                       BlockShape block) {
-    points.push_back({figure, key.Name(), label, std::move(kernel), key.arch,
-                      CrossCheckLaunch(key.mode, block)});
+                       il::Kernel kernel, auto config,
+                       std::string point = "") {
+    if (point.empty()) point = kernel.name;
+    config.profile = true;
+    points.push_back({figure, key.Name(), std::move(point), std::move(kernel),
+                      key.arch,
+                      config.Launch(Domain{256, 256}, key.mode, config.block)});
   };
 
-  // ALU:fetch families (Figs. 7-10): the two sweep extremes, one firmly
-  // fetch-bound and one firmly ALU-bound. Each replicates the family's
-  // spec construction in alu_fetch.cpp exactly.
+  // ALU:fetch families (Figs. 7-10): the two ends of the paper grid, one
+  // firmly fetch-bound and one firmly ALU-bound.
   const auto alu_fetch = [&](const std::string& figure,
                              const std::vector<CurveKey>& curves,
-                             ReadPath read, WritePath pixel_write,
-                             BlockShape block) {
+                             const AluFetchConfig& config) {
     for (const CurveKey& key : curves) {
       for (const double ratio : {0.25, 8.0}) {
-        GenericSpec spec;
-        spec.inputs = 16;
-        spec.outputs = 1;
-        spec.alu_ops = AluOpsForRatio(ratio, spec.inputs);
-        spec.type = key.type;
-        spec.read_path = read;
-        spec.write_path = key.mode == ShaderMode::kCompute
-                              ? WritePath::kGlobal
-                              : pixel_write;
-        spec.name = "alufetch_r" + FormatDouble(ratio, 2);
-        add(figure, key, spec.name, GenerateGeneric(spec), block);
+        add(figure, key, AluFetchKernel(config, key.mode, key.type, ratio),
+            config);
       }
     }
   };
-  alu_fetch("fig_7", CrossCheckCurves(all, true, true), ReadPath::kTexture,
-            WritePath::kStream, BlockShape{64, 1});
-  alu_fetch("fig_8", CrossCheckCurves(all, false, true), ReadPath::kTexture,
-            WritePath::kStream, BlockShape{4, 16});
-  alu_fetch("fig_9", CrossCheckCurves(all, true, false), ReadPath::kGlobal,
-            WritePath::kStream, BlockShape{64, 1});
+  alu_fetch("fig_7", CrossCheckCurves(all, true, true), QuickAluFetch(quick));
+  alu_fetch("fig_8", CrossCheckCurves(all, false, true), Fig8Config(quick));
+  alu_fetch("fig_9", CrossCheckCurves(all, true, false), Fig9Config(quick));
   alu_fetch("fig_10", CrossCheckCurves(ten_series, true, true),
-            ReadPath::kGlobal, WritePath::kGlobal, BlockShape{64, 1});
+            Fig10Config(quick));
 
-  // Read-latency families (Figs. 11-12) at the paper's 16-input point;
-  // construction mirrors read_latency.cpp (alu_ops = inputs - 1).
+  // Read-latency families (Figs. 11-12) at the paper's 16-input point.
   const auto read_latency = [&](const std::string& figure,
-                                const std::vector<CurveKey>& curves,
-                                ReadPath read) {
-    for (const CurveKey& key : curves) {
-      GenericSpec spec;
-      spec.inputs = 16;
-      spec.outputs = 1;
-      spec.alu_ops = spec.inputs - 1;
-      spec.type = key.type;
-      spec.read_path = read;
-      spec.write_path = key.mode == ShaderMode::kCompute
-                            ? WritePath::kGlobal
-                            : WritePath::kStream;
-      spec.name = "readlat_in" + std::to_string(spec.inputs);
-      add(figure, key, spec.name, GenerateGeneric(spec), BlockShape{64, 1});
+                                const ReadLatencyConfig& config) {
+    for (const CurveKey& key : CrossCheckCurves(all, true, true)) {
+      add(figure, key, ReadLatencyKernel(config, key.mode, key.type, 16),
+          config);
     }
   };
-  read_latency("fig_11", CrossCheckCurves(all, true, true),
-               ReadPath::kTexture);
-  read_latency("fig_12", CrossCheckCurves(all, true, true),
-               ReadPath::kGlobal);
+  read_latency("fig_11", Quick<ReadLatencyConfig>(quick));
+  read_latency("fig_12", Fig12Config(quick));
 
-  // Write-latency families (Figs. 13-14) at the 8-output point;
-  // construction mirrors write_latency.cpp.
+  // Write-latency families (Figs. 13-14) at the 8-output point.
   const auto write_latency = [&](const std::string& figure,
                                  const std::vector<CurveKey>& curves,
-                                 WritePath pixel_write) {
+                                 const WriteLatencyConfig& config) {
     for (const CurveKey& key : curves) {
-      GenericSpec spec;
-      spec.inputs = 8;
-      spec.outputs = 8;
-      spec.alu_ops = 16;
-      spec.type = key.type;
-      spec.read_path = ReadPath::kTexture;
-      spec.write_path = key.mode == ShaderMode::kCompute
-                            ? WritePath::kGlobal
-                            : pixel_write;
-      spec.name = "writelat_out" + std::to_string(spec.outputs);
-      add(figure, key, spec.name, GenerateGeneric(spec), BlockShape{64, 1});
+      add(figure, key, WriteLatencyKernel(config, key.mode, key.type, 8),
+          config);
     }
   };
   write_latency("fig_13", CrossCheckCurves(all, true, false),
-                WritePath::kStream);
+                Fig13Config(quick));
   write_latency("fig_14", CrossCheckCurves(all, true, true),
-                WritePath::kGlobal);
+                Fig14Config(quick));
 
-  // Domain-size family (Fig. 15) at the 256x256 point; construction
-  // mirrors domain_size.cpp (one kernel, per-point launch domains).
+  // Domain-size family (Fig. 15) at the 256x256 point.
+  const DomainSizeConfig domain = Fig15Config(quick);
   for (const CurveKey& key : CrossCheckCurves(all, true, true)) {
-    GenericSpec spec;
-    spec.inputs = 8;
-    spec.outputs = 1;
-    spec.alu_ops = AluOpsForRatio(10.0, spec.inputs);
-    spec.type = key.type;
-    spec.read_path = ReadPath::kTexture;
-    spec.write_path = key.mode == ShaderMode::kCompute ? WritePath::kGlobal
-                                                       : WritePath::kStream;
-    spec.name = "domain_sweep";
-    const std::string figure = key.mode == ShaderMode::kPixel ? "fig_15a"
-                                                              : "fig_15b";
-    add(figure, key, "domain_256", GenerateGeneric(spec), BlockShape{64, 1});
+    add(key.mode == ShaderMode::kPixel ? "fig_15a" : "fig_15b", key,
+        DomainSizeKernel(domain, key.mode, key.type), domain, "domain_256");
   }
 
   // Register-usage families (Figs. 16-17) at the sweep's first and a
-  // late step; construction mirrors register_usage.cpp.
+  // late step.
   const auto register_usage = [&](const std::string& figure,
                                   const std::vector<CurveKey>& curves,
-                                  BlockShape block) {
+                                  const RegisterUsageConfig& config) {
     for (const CurveKey& key : curves) {
       for (const unsigned step : {0u, 6u}) {
-        RegisterUsageSpec spec;
-        spec.inputs = 64;
-        spec.space = 8;
-        spec.step = step;
-        spec.alu_fetch_ratio = 4.0;
-        spec.type = key.type;
-        spec.read_path = ReadPath::kTexture;
-        spec.write_path = key.mode == ShaderMode::kCompute
-                              ? WritePath::kGlobal
-                              : WritePath::kStream;
-        spec.name = "regusage_s" + std::to_string(step);
-        add(figure, key, spec.name, GenerateRegisterUsage(spec), block);
+        add(figure, key, RegisterUsageKernel(config, key.mode, key.type, step),
+            config);
       }
     }
   };
   register_usage("fig_16", CrossCheckCurves(all, true, true),
-                 BlockShape{64, 1});
+                 Quick<RegisterUsageConfig>(quick));
   register_usage("fig_17", CrossCheckCurves(all, false, true),
-                 BlockShape{4, 16});
+                 Fig17Config(quick));
 
   return points;
 }

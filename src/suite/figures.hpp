@@ -15,6 +15,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "adapt/refiner.hpp"
@@ -23,11 +24,6 @@
 #include "il/il.hpp"
 #include "report/record.hpp"
 #include "sim/gpu.hpp"
-
-namespace amdmb::suite {
-struct ReadLatencyConfig;
-struct RegisterUsageConfig;
-}  // namespace amdmb::suite
 
 namespace amdmb::suite::figures {
 
@@ -103,25 +99,53 @@ using CurveCallback = std::function<void(
 report::Figure Build(const FigureDef& def, const RunOptions& opts,
                      const CurveCallback& on_curve = {});
 
-/// Converts every non-ok point of `run` into a typed Degradation on the
-/// record, attributed to `curve`.
-void NoteFaults(report::Figure& figure, const std::string& curve,
-                const exec::RunReport& run);
+/// Records one sweep on the figure, attributed to `curve`: every non-ok
+/// point of `result.report` as a typed Degradation and every profiled
+/// point as a ProfileEntry (none when profiling was off).
+template <typename Result>
+void Note(report::Figure& figure, const std::string& curve,
+          const Result& result) {
+  for (report::Degradation& d :
+       report::DegradationsFrom(result.report, curve)) {
+    figure.degradations.push_back(std::move(d));
+  }
+  for (const auto& point : result.points) {
+    if (point.m.profile == nullptr) continue;
+    figure.profiles.push_back(report::MakeProfileEntry(
+        curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
+  }
+}
 
 /// Appends `findings` to the record in order.
 void Append(report::Figure& figure, std::vector<report::Finding> findings);
 
-/// Sweep configs carrying opts' scale (a 256x256 domain when quick),
-/// executor, cancel token and adaptive settings.
-ReadLatencyConfig QuickReadLatency(const RunOptions& opts);
-RegisterUsageConfig QuickRegisterUsage(const RunOptions& opts);
+/// A runner config carrying opts: a 256x256 domain when quick (for
+/// configs with one domain), the executor, the cancel token and the
+/// adaptive settings (for configs that refine).
+template <typename Config>
+Config Quick(const RunOptions& opts) {
+  Config config;
+  if constexpr (requires { config.domain; }) {
+    if (opts.quick) config.domain = Domain{256, 256};
+  }
+  if constexpr (requires { config.adaptive; }) {
+    config.adaptive = opts.adaptive;
+  }
+  config.executor = opts.executor;
+  config.cancel = opts.cancel;
+  return config;
+}
 
-/// One representative operating point of a registry figure: the exact
-/// generated kernel, architecture, and launch the figure's sweep
-/// measures there. The kerncap cross-validation test prints the
-/// kernel's IL, re-ingests it through the untrusted-input intake, and
-/// measures at this launch — the result must match the registry path
-/// bit-for-bit (KernelStats operator==), bottleneck verdict included.
+/// One representative operating point of a registry figure: the kernel
+/// the figure's runner generates there (from the runner's own kernel
+/// builder and the figure's quick config), its architecture, and a
+/// profiled launch at the quick 256x256 domain. Every point is on the
+/// quick sweep's grid except the ALU:fetch ratio 8.0, which is the paper
+/// grid's end (the quick grid stops at 7.25), launched at the quick
+/// domain. The kerncap cross-validation test prints the kernel's IL,
+/// re-ingests it through the untrusted-input intake, and measures at
+/// this launch — the result must match the registry path bit-for-bit
+/// (KernelStats operator==), bottleneck verdict included.
 struct CrossCheckPoint {
   std::string figure;  ///< Registry slug ("fig_7").
   std::string curve;   ///< CurveKey name ("4870 Pixel Float").
@@ -134,17 +158,5 @@ struct CrossCheckPoint {
 /// Quick-scale (256x256 domain) operating points covering every
 /// registry figure family across its architectures and shader modes.
 std::vector<CrossCheckPoint> CrossCheckPoints();
-
-/// Converts every profiled point of a sweep into a typed ProfileEntry
-/// on the record. A no-op when profiling was off.
-template <typename Points>
-void NoteProfiles(report::Figure& figure, const std::string& curve,
-                  const Points& points) {
-  for (const auto& point : points) {
-    if (point.m.profile == nullptr) continue;
-    figure.profiles.push_back(report::MakeProfileEntry(
-        curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
-  }
-}
 
 }  // namespace amdmb::suite::figures

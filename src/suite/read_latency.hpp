@@ -13,28 +13,16 @@
 #include "common/stats.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct ReadLatencyConfig {
+struct ReadLatencyConfig : SweepOptions {
   unsigned min_inputs = 2;
   unsigned max_inputs = 18;
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;  ///< kGlobal for Fig. 12.
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
   /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
   /// the latency fit then uses only the refined points.
   const adapt::Settings* adaptive = nullptr;
@@ -45,14 +33,14 @@ struct ReadLatencyPoint {
   Measurement m;
 };
 
-struct ReadLatencyResult {
-  std::vector<ReadLatencyPoint> points;  ///< Successful points only.
+struct ReadLatencyResult : SweepResult<ReadLatencyPoint> {
   LineFit fit;  ///< seconds vs inputs.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
 };
+
+/// The kernel the sweep measures at `inputs`, named "readlat_in<inputs>".
+il::Kernel ReadLatencyKernel(const ReadLatencyConfig& config,
+                             ShaderMode mode, DataType type,
+                             unsigned inputs);
 
 ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
                                  DataType type,

@@ -1,55 +1,53 @@
 #include "suite/register_usage.hpp"
 
 #include "common/status.hpp"
-#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
+
+il::Kernel RegisterUsageKernel(const RegisterUsageConfig& config,
+                               ShaderMode mode, DataType type,
+                               unsigned step) {
+  RegisterUsageSpec spec;
+  spec.inputs = config.inputs;
+  spec.space = config.space;
+  spec.step = step;
+  spec.alu_fetch_ratio = config.alu_fetch_ratio;
+  spec.type = type;
+  spec.read_path = ReadPath::kTexture;
+  spec.write_path =
+      mode == ShaderMode::kCompute ? WritePath::kGlobal : WritePath::kStream;
+  spec.name = "regusage_s" + std::to_string(step);
+  return config.clause_control ? GenerateClauseUsage(spec)
+                               : GenerateRegisterUsage(spec);
+}
 
 RegisterUsageResult RunRegisterUsage(const Runner& runner, ShaderMode mode,
                                      DataType type,
                                      const RegisterUsageConfig& config) {
   Require(config.max_step >= config.min_step,
           "RegisterUsage: invalid step sweep");
-  RegisterUsageResult result;
-
-  sim::LaunchConfig launch;
-  launch.domain = config.domain;
-  launch.mode = mode;
-  launch.block = config.block;
-  launch.repetitions = config.repetitions;
-  launch.profile = config.profile;
-
+  const sim::LaunchConfig launch =
+      config.Launch(config.domain, mode, config.block);
   const auto step_of = [&](std::size_t i) {
     return config.min_step + static_cast<unsigned>(i);
   };
   const auto name_of = [&](std::size_t i) {
     return "regusage_s" + std::to_string(step_of(i));
   };
-  result.points = SweepPoints<RegisterUsagePoint>(
+  RegisterUsageResult result;
+  SweepPoints<RegisterUsagePoint>(
       config.max_step - config.min_step + 1,
       [&](std::size_t i) { return static_cast<double>(step_of(i)); },
       [&](std::size_t i, unsigned attempt) {
-        RegisterUsageSpec spec;
-        spec.inputs = config.inputs;
-        spec.space = config.space;
-        spec.step = step_of(i);
-        spec.alu_fetch_ratio = config.alu_fetch_ratio;
-        spec.type = type;
-        spec.read_path = ReadPath::kTexture;
-        spec.write_path = mode == ShaderMode::kCompute ? WritePath::kGlobal
-                                                       : WritePath::kStream;
-        spec.name = name_of(i);
-        const il::Kernel kernel = config.clause_control
-                                      ? GenerateClauseUsage(spec)
-                                      : GenerateRegisterUsage(spec);
         RegisterUsagePoint point;
-        point.step = spec.step;
-        point.m = runner.Measure(kernel, launch, {spec.name, attempt});
+        point.step = step_of(i);
+        point.m =
+            runner.Measure(RegisterUsageKernel(config, mode, type, point.step),
+                           launch, {name_of(i), attempt});
         point.gpr_count = point.m.stats.gpr_count;
         return point;
       },
-      name_of, config.adaptive, config.executor, config.retry, config.cancel,
-      &result.report, &result.adaptive);
+      name_of, config, config.adaptive, result);
   return result;
 }
 
@@ -69,12 +67,7 @@ std::vector<report::Finding> Findings(const RegisterUsageResult& result,
                       "gpr_min_seconds", last.m.seconds, "s", ""});
   findings.push_back({report::FindingKind::kRatio, curve, "register_speedup",
                       first.m.seconds / last.m.seconds, "x", ""});
-  if (result.adaptive.has_value()) {
-    // Adaptive-only: dense documents must stay byte-identical.
-    const auto extra =
-        adapt::AdaptiveFindings(*result.adaptive, curve, "step");
-    findings.insert(findings.end(), extra.begin(), extra.end());
-  }
+  result.AppendAdaptiveFindings(findings, curve, "step");
   return findings;
 }
 

@@ -10,17 +10,17 @@
 // comes from register pressure, not from moving ALU ops across clauses.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/kernelgen.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct RegisterUsageConfig {
+struct RegisterUsageConfig : SweepOptions {
   unsigned inputs = 64;
   unsigned space = 8;
   unsigned min_step = 0;
@@ -30,20 +30,7 @@ struct RegisterUsageConfig {
   /// published magnitudes (documented in EXPERIMENTS.md).
   Domain domain{512, 512};
   BlockShape block{64, 1};
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
   bool clause_control = false;  ///< true -> the Fig. 5 control kernel.
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
   /// Non-null switches the sweep to adaptive refinement (adapt::Refiner).
   const adapt::Settings* adaptive = nullptr;
 };
@@ -54,13 +41,13 @@ struct RegisterUsagePoint {
   Measurement m;
 };
 
-struct RegisterUsageResult {
-  std::vector<RegisterUsagePoint> points;  ///< Successful points only.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
-};
+using RegisterUsageResult = SweepResult<RegisterUsagePoint>;
+
+/// The kernel the sweep measures at `step`, named "regusage_s<step>"
+/// (the clause-usage control appends "_clause_control").
+il::Kernel RegisterUsageKernel(const RegisterUsageConfig& config,
+                               ShaderMode mode, DataType type,
+                               unsigned step);
 
 RegisterUsageResult RunRegisterUsage(const Runner& runner, ShaderMode mode,
                                      DataType type,

@@ -77,20 +77,16 @@ FigureDef MakeBlockSizeExplorer() {
       const CurveKey key{arch, ShaderMode::kCompute, type};
       def.curves.push_back(
           {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-             BlockSizeConfig config;
+             BlockSizeConfig config = Quick<BlockSizeConfig>(opts);
              config.type = key.type;
-             if (opts.quick) config.domain = Domain{256, 256};
-             config.executor = opts.executor;
-             config.cancel = opts.cancel;
-             Runner runner(key.arch);
-             const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
+             const BlockSizeResult r =
+                 RunBlockSizeExplorer(Runner(key.arch), config);
              Series& series = fig.set.Get(key.Name());
              for (const BlockSizePoint& p : r.points) {
                series.Add(std::log2(static_cast<double>(p.block.x)),
                           p.m.seconds);
              }
-             NoteFaults(fig, key.Name(), r.report);
-             NoteProfiles(fig, key.Name(), r.points);
+             Note(fig, key.Name(), r);
              Append(fig, Findings(r, key.Name()));
            }});
     }
@@ -116,8 +112,8 @@ FigureDef MakeClauseUsageControl() {
   for (const GpuArch& arch : AllArchs()) {
     def.curves.push_back(
         {arch.name, [arch](report::Figure& fig, const RunOptions& opts) {
-           RegisterUsageConfig config = QuickRegisterUsage(opts);
-           Runner runner(arch);
+           RegisterUsageConfig config = Quick<RegisterUsageConfig>(opts);
+           const Runner runner(arch);
            const RegisterUsageResult sweep = RunRegisterUsage(
                runner, ShaderMode::kPixel, DataType::kFloat, config);
            config.clause_control = true;
@@ -127,10 +123,8 @@ FigureDef MakeClauseUsageControl() {
            const std::string control_name = arch.name + " clause control";
            Series& s1 = fig.set.Get(kernel);
            Series& s2 = fig.set.Get(control_name);
-           NoteFaults(fig, kernel, sweep.report);
-           NoteProfiles(fig, kernel, sweep.points);
-           NoteFaults(fig, control_name, control.report);
-           NoteProfiles(fig, control_name, control.points);
+           Note(fig, kernel, sweep);
+           Note(fig, control_name, control);
            for (const RegisterUsagePoint& p : sweep.points) {
              s1.Add(p.step, p.m.seconds);
            }
@@ -171,7 +165,7 @@ FigureDef MakeCacheIndexAblation() {
          [type, type_name](report::Figure& fig, const RunOptions& opts) {
            GpuArch flat = MakeRV770();
            flat.l1.two_d_index = false;
-           const ReadLatencyConfig config = QuickReadLatency(opts);
+           const auto config = Quick<ReadLatencyConfig>(opts);
            const ReadLatencyResult with_2d = RunReadLatency(
                Runner(MakeRV770()), ShaderMode::kCompute, type, config);
            const ReadLatencyResult without_2d = RunReadLatency(
@@ -181,10 +175,8 @@ FigureDef MakeCacheIndexAblation() {
                fig.set.Get("4870 64x1 " + type_name + " flat-index");
            const std::string on_curve = "4870 " + type_name + " 2D-index";
            const std::string off_curve = "4870 " + type_name + " flat-index";
-           NoteFaults(fig, on_curve, with_2d.report);
-           NoteProfiles(fig, on_curve, with_2d.points);
-           NoteFaults(fig, off_curve, without_2d.report);
-           NoteProfiles(fig, off_curve, without_2d.points);
+           Note(fig, on_curve, with_2d);
+           Note(fig, off_curve, without_2d);
            for (const ReadLatencyPoint& p : with_2d.points) {
              s1.Add(p.inputs, p.m.seconds);
            }
@@ -233,15 +225,14 @@ FigureDef MakeOccupancyAblation() {
         {name, [cap, name](report::Figure& fig, const RunOptions& opts) {
            GpuArch arch = MakeRV770();
            arch.max_wavefronts_per_simd = cap;
-           const RegisterUsageResult r =
-               RunRegisterUsage(Runner(arch), ShaderMode::kPixel,
-                                DataType::kFloat, QuickRegisterUsage(opts));
+           const RegisterUsageResult r = RunRegisterUsage(
+               Runner(arch), ShaderMode::kPixel, DataType::kFloat,
+               Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(name);
            for (const RegisterUsagePoint& p : r.points) {
              series.Add(p.gpr_count, p.m.seconds);
            }
-           NoteFaults(fig, name, r.report);
-           NoteProfiles(fig, name, r.points);
+           Note(fig, name, r);
            if (r.points.empty()) return;
            fig.findings.push_back(
                {report::FindingKind::kRatio, name, "sweep_improvement",
@@ -291,16 +282,16 @@ FigureDef MakeRowLocalityAblation() {
                                  ? WritePath::kGlobal
                                  : WritePath::kStream;
            const il::Kernel kernel = GenerateGeneric(spec);
-           sim::LaunchConfig launch;
-           launch.domain = opts.quick ? Domain{256, 256} : Domain{1024, 1024};
-           launch.mode = shape.mode;
-           launch.block = shape.block;
+           const auto sweep = Quick<SweepOptions>(opts);
+           const sim::LaunchConfig launch = sweep.Launch(
+               opts.quick ? Domain{256, 256} : Domain{1024, 1024},
+               shape.mode, shape.block);
            struct Point {
              Cycles penalty = 0;
              Measurement m;
            };
-           exec::RunReport report;
-           const std::vector<Point> points = SweepPoints<Point>(
+           SweepResult<Point> r;
+           SweepPoints<Point>(
                kPenalties.size(),
                [](std::size_t i) { return static_cast<double>(kPenalties[i]); },
                [&](std::size_t i, unsigned attempt) {
@@ -315,19 +306,17 @@ FigureDef MakeRowLocalityAblation() {
                [](std::size_t i) {
                  return "row_penalty_" + std::to_string(kPenalties[i]);
                },
-               opts.adaptive, opts.executor, exec::RetryPolicy::FromEnv(),
-               opts.cancel, &report, /*outcome=*/nullptr);
+               sweep, opts.adaptive, r);
            Series& series = fig.set.Get(shape.name);
-           for (const Point& p : points) {
+           for (const Point& p : r.points) {
              series.Add(static_cast<double>(p.penalty), p.m.seconds);
            }
-           NoteFaults(fig, shape.name, report);
-           NoteProfiles(fig, shape.name, points);
-           if (points.empty()) return;
+           Note(fig, shape.name, r);
+           if (r.points.empty()) return;
            fig.findings.push_back(
                {report::FindingKind::kRatio, shape.name,
                 "row_penalty_slowdown",
-                points.back().m.seconds / points.front().m.seconds, "x",
+                r.points.back().m.seconds / r.points.front().m.seconds, "x",
                 "time at penalty 64 over penalty 0"});
          }});
   }

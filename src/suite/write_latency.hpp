@@ -15,10 +15,11 @@
 #include "common/stats.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite {
 
-struct WriteLatencyConfig {
+struct WriteLatencyConfig : SweepOptions {
   unsigned inputs = 8;
   unsigned min_outputs = 1;
   unsigned max_outputs = 8;
@@ -26,19 +27,6 @@ struct WriteLatencyConfig {
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   WritePath write_path = WritePath::kStream;  ///< kGlobal for Fig. 14.
-  unsigned repetitions = kPaperRepetitions;
-  /// Force hardware-counter profiling for every point of this sweep
-  /// (tests use this to bypass the cached AMDMB_PROF snapshot).
-  bool profile = false;
-  /// Sweep points run through this executor (null = the process default).
-  const exec::SweepExecutor* executor = nullptr;
-  /// Per-point retry/skip behaviour under faults (AMDMB_RETRY default).
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  /// Optional cooperative cancellation: points not yet started when the
-  /// token fires are skipped (the bench binaries wire their SIGINT/
-  /// SIGTERM flag here so an interrupted run still flushes a partial
-  /// figure).
-  const exec::CancelToken* cancel = nullptr;
   /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
   /// the latency fit then uses only the refined points.
   const adapt::Settings* adaptive = nullptr;
@@ -49,14 +37,16 @@ struct WriteLatencyPoint {
   Measurement m;
 };
 
-struct WriteLatencyResult {
-  std::vector<WriteLatencyPoint> points;  ///< Successful points only.
+struct WriteLatencyResult : SweepResult<WriteLatencyPoint> {
   LineFit fit;  ///< seconds vs outputs.
-  /// Per-point outcome (ok / retried / skipped) of the whole sweep.
-  exec::RunReport report;
-  /// Refinement record; present only when the sweep ran adaptively.
-  std::optional<adapt::Outcome> adaptive;
 };
+
+/// The kernel the sweep measures at `outputs`, named
+/// "writelat_out<outputs>". Compute mode writes globally whatever
+/// `config.write_path` says.
+il::Kernel WriteLatencyKernel(const WriteLatencyConfig& config,
+                              ShaderMode mode, DataType type,
+                              unsigned outputs);
 
 WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
                                    DataType type,
