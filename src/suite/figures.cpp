@@ -96,8 +96,9 @@ FigureDef MakeFig7() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const AluFetchResult r = RunAluFetch(Runner(key.arch), key.mode,
-                                                key.type, QuickAluFetch(opts));
+           Runner runner(key.arch);
+           const AluFetchResult r =
+               RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
            Series& series = fig.set.Get(key.Name());
            for (const AluFetchPoint& p : r.points) {
              series.Add(p.ratio, p.m.seconds);
@@ -125,7 +126,7 @@ FigureDef MakeFig8() {
   for (const CurveKey& key : PaperCurves(/*include_pixel=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const Runner runner(key.arch);
+           Runner runner(key.arch);
            const AluFetchResult blocked =
                RunAluFetch(runner, key.mode, key.type, Fig8Config(opts));
            const AluFetchResult naive =
@@ -164,7 +165,7 @@ FigureDef MakeFig9() {
                                          /*include_compute=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const Runner runner(key.arch);
+           Runner runner(key.arch);
            const AluFetchResult r =
                RunAluFetch(runner, key.mode, key.type, Fig9Config(opts));
            // Texture-read counterpart for the paper's comparison.
@@ -204,7 +205,7 @@ FigureDef MakeFig10() {
   for (const CurveKey& key : PaperCurves(true, true, archs)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const Runner runner(key.arch);
+           Runner runner(key.arch);
            const AluFetchResult global =
                RunAluFetch(runner, key.mode, key.type, Fig10Config(opts));
            Series& series = fig.set.Get(key.Name());
@@ -290,26 +291,6 @@ FigureDef MakeFig12() {
   return def;
 }
 
-// Figs. 13-14: the latency fit, its slope annotated with the bottleneck
-// of the sweep's first (Fig. 13) or last (Fig. 14) point.
-void WriteLatencyCurve(report::Figure& fig, const CurveKey& key,
-                       const WriteLatencyConfig& config, bool last) {
-  const WriteLatencyResult r =
-      RunWriteLatency(Runner(key.arch), key.mode, key.type, config);
-  Series& series = fig.set.Get(key.Name());
-  for (const WriteLatencyPoint& p : r.points) {
-    series.Add(p.outputs, p.m.seconds);
-  }
-  Note(fig, key.Name(), r);
-  if (r.points.empty()) return;
-  std::vector<report::Finding> findings = Findings(r, key.Name());
-  const WriteLatencyPoint& end = last ? r.points.back() : r.points.front();
-  findings.front().detail = std::string(last ? "last" : "first") +
-                            " point bottleneck " +
-                            std::string(sim::ToString(end.m.stats.bottleneck));
-  Append(fig, std::move(findings));
-}
-
 FigureDef MakeFig13() {
   FigureDef def;
   def.slug = "fig_13";
@@ -326,7 +307,21 @@ FigureDef MakeFig13() {
                                          /*include_compute=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           WriteLatencyCurve(fig, key, Fig13Config(opts), /*last=*/false);
+           Runner runner(key.arch);
+           const WriteLatencyResult r =
+               RunWriteLatency(runner, key.mode, key.type, Fig13Config(opts));
+           Series& series = fig.set.Get(key.Name());
+           for (const WriteLatencyPoint& p : r.points) {
+             series.Add(p.outputs, p.m.seconds);
+           }
+           Note(fig, key.Name(), r);
+           if (r.points.empty()) return;
+           std::vector<report::Finding> findings = Findings(r, key.Name());
+           findings.front().detail =
+               "first point bottleneck " +
+               std::string(
+                   sim::ToString(r.points.front().m.stats.bottleneck));
+           Append(fig, std::move(findings));
          }});
   }
   return def;
@@ -346,7 +341,21 @@ FigureDef MakeFig14() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           WriteLatencyCurve(fig, key, Fig14Config(opts), /*last=*/true);
+           Runner runner(key.arch);
+           const WriteLatencyResult r =
+               RunWriteLatency(runner, key.mode, key.type, Fig14Config(opts));
+           Series& series = fig.set.Get(key.Name());
+           for (const WriteLatencyPoint& p : r.points) {
+             series.Add(p.outputs, p.m.seconds);
+           }
+           Note(fig, key.Name(), r);
+           if (r.points.empty()) return;
+           std::vector<report::Finding> findings = Findings(r, key.Name());
+           findings.front().detail =
+               "last point bottleneck " +
+               std::string(
+                   sim::ToString(r.points.back().m.stats.bottleneck));
+           Append(fig, std::move(findings));
          }});
   }
   return def;
@@ -385,7 +394,7 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
           {std::string(ToString(mode)) + "/" + label,
            [key, label](report::Figure& fig, const RunOptions& opts) {
              const DomainSizeConfig config = Fig15Config(opts);
-             const Runner runner(key.arch);
+             Runner runner(key.arch);
              const DomainSizeResult f =
                  RunDomainSize(runner, key.mode, DataType::kFloat, config);
              const DomainSizeResult f4 =
@@ -424,9 +433,9 @@ FigureDef MakeFig16() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const RegisterUsageResult r =
-               RunRegisterUsage(Runner(key.arch), key.mode, key.type,
-                                Quick<RegisterUsageConfig>(opts));
+           Runner runner(key.arch);
+           const RegisterUsageResult r = RunRegisterUsage(
+               runner, key.mode, key.type, Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(key.Name());
            for (const RegisterUsagePoint& p : r.points) {
              series.Add(p.gpr_count, p.m.seconds);
@@ -459,7 +468,7 @@ FigureDef MakeFig17() {
   for (const CurveKey& key : PaperCurves(/*include_pixel=*/false)) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           const Runner runner(key.arch);
+           Runner runner(key.arch);
            const RegisterUsageResult blocked =
                RunRegisterUsage(runner, key.mode, key.type, Fig17Config(opts));
            const RegisterUsageResult naive = RunRegisterUsage(

@@ -79,8 +79,8 @@ FigureDef MakeBlockSizeExplorer() {
           {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
              BlockSizeConfig config = Quick<BlockSizeConfig>(opts);
              config.type = key.type;
-             const BlockSizeResult r =
-                 RunBlockSizeExplorer(Runner(key.arch), config);
+             Runner runner(key.arch);
+             const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
              Series& series = fig.set.Get(key.Name());
              for (const BlockSizePoint& p : r.points) {
                series.Add(std::log2(static_cast<double>(p.block.x)),
@@ -113,7 +113,7 @@ FigureDef MakeClauseUsageControl() {
     def.curves.push_back(
         {arch.name, [arch](report::Figure& fig, const RunOptions& opts) {
            RegisterUsageConfig config = Quick<RegisterUsageConfig>(opts);
-           const Runner runner(arch);
+           Runner runner(arch);
            const RegisterUsageResult sweep = RunRegisterUsage(
                runner, ShaderMode::kPixel, DataType::kFloat, config);
            config.clause_control = true;
@@ -165,7 +165,7 @@ FigureDef MakeCacheIndexAblation() {
          [type, type_name](report::Figure& fig, const RunOptions& opts) {
            GpuArch flat = MakeRV770();
            flat.l1.two_d_index = false;
-           const auto config = Quick<ReadLatencyConfig>(opts);
+           const ReadLatencyConfig config = Quick<ReadLatencyConfig>(opts);
            const ReadLatencyResult with_2d = RunReadLatency(
                Runner(MakeRV770()), ShaderMode::kCompute, type, config);
            const ReadLatencyResult without_2d = RunReadLatency(
