@@ -1,5 +1,6 @@
 #include "kerncap/characterize.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "common/status.hpp"

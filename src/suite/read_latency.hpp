@@ -6,7 +6,6 @@
 // stays the bottleneck. Reports the per-input latency slope.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "adapt/refiner.hpp"

@@ -8,7 +8,6 @@
 // (the flat left end of Fig. 13).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "adapt/refiner.hpp"
