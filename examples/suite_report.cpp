@@ -1,7 +1,8 @@
 // Builds every document of the suite — the paper's numbered figures,
-// then Table I, the Fig. 5 control, the ablations and the block-size
-// extension — and prints each one as a text report: the curve columns
-// plus the measured findings next to the paper's claim.
+// then Table I, the block-size extension, the Fig. 5 control, the
+// ablations and the frontier map — and prints each one as a text
+// report: the curve columns plus the measured findings next to the
+// paper's claim.
 //
 // Run:  ./example_suite_report [--quick]
 #include <cstring>

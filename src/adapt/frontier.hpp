@@ -12,41 +12,16 @@
 // labels.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <string>
 
 #include "adapt/refiner.hpp"
-#include "common/types.hpp"
 #include "exec/run_report.hpp"
 #include "exec/sweep_executor.hpp"
 #include "report/record.hpp"
 
 namespace amdmb::adapt {
-
-/// Knobs for one frontier map. Axis defaults cross the Fig. 7 ratio
-/// sweep with the Fig. 16 register ladder on the 4870.
-struct FrontierConfig {
-  std::size_t nx = 9;          ///< Ratio grid nodes.
-  std::size_t ny = 8;          ///< Register-ladder steps (0 .. ny-1).
-  /// Lowest swept ratio. Every ladder row must leave its kernel a
-  /// viable ALU budget — roughly inputs * 4 * ratio_min / (step + 1) >=
-  /// inputs - space * step — which BuildFrontierFigure validates up
-  /// front with a ConfigError naming the offending row.
-  double ratio_min = 0.75;
-  double ratio_max = 8.0;
-  unsigned inputs = 64;        ///< RegisterUsageSpec inputs.
-  unsigned space = 8;          ///< Fetches per late TEX clause.
-  Domain domain{256, 256};
-  unsigned repetitions = 100;
-  bool dense = false;          ///< true = measure every node (the golden).
-  std::uint64_t budget = 0;    ///< Max measured nodes (0 = unlimited).
-  const exec::SweepExecutor* executor = nullptr;
-  exec::RetryPolicy retry = exec::RetryPolicy::FromEnv();
-  const exec::CancelToken* cancel = nullptr;
-  /// Streamed after each refinement level (wave = level).
-  std::function<void(const WaveInfo&)> on_wave;
-};
 
 /// A measured frontier plus its per-node sweep report.
 struct FrontierResult {
@@ -54,22 +29,21 @@ struct FrontierResult {
   exec::RunReport report;
 };
 
-/// Generic quadrant refinement over an nx × ny grid of labelled nodes.
+/// Quadrant refinement over an nx × ny grid of labelled nodes.
 /// `measure(ix, iy, attempt)` returns the node's label; `x_of`/`y_of`
-/// give node coordinates. Exposed separately from the kernel-specific
-/// builder so tests can drive it with synthetic label fields.
+/// give node coordinates. A null `adaptive` measures every node in one
+/// wave. Otherwise each refinement level is one wave, the total is
+/// capped by `adaptive->budget`, and every wave is reported to
+/// `adaptive->on_wave`, as Refiner does. `executor` (null = the process
+/// default), `retry` and `cancel` act as in MapWithPolicy.
 FrontierResult RefineGrid(
     std::size_t nx, std::size_t ny,
     const std::function<double(std::size_t)>& x_of,
     const std::function<double(std::size_t)>& y_of,
     const std::function<std::string(std::size_t ix, std::size_t iy,
                                     unsigned attempt)>& measure,
-    const FrontierConfig& config);
-
-/// Builds the ALU:Fetch × register-step bottleneck frontier on the
-/// given arch (one Fig. 6 register-ladder kernel per node) and wraps it
-/// as a report::Figure carrying the frontier block. Deterministic at
-/// any AMDMB_THREADS.
-report::Figure BuildFrontierFigure(const FrontierConfig& config);
+    const Settings* adaptive, const exec::SweepExecutor* executor,
+    const exec::RetryPolicy& retry,
+    const exec::CancelToken* cancel = nullptr);
 
 }  // namespace amdmb::adapt

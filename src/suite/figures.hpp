@@ -5,10 +5,11 @@
 // lists hold the definitions. Registry() has the paper's numbered
 // figures, which the amdmb_serve daemon serves and the repo benchmark
 // pins. Supplements() has Table I, the Fig. 5 control, three model
-// ablations and the block-size extension. The bench binaries
-// (bench::Main), the daemon, the golden test and example_suite_report
-// all build from these definitions, so a served figure document is
-// byte-identical to the one the standalone binary writes.
+// ablations, the block-size extension and the 2D frontier map. The
+// bench binaries (bench::Main), the daemon, the golden test,
+// example_suite_report and amdmb_adapt all build from these
+// definitions, so a served figure document is byte-identical to the
+// one the standalone binary writes.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +72,8 @@ const std::vector<FigureDef>& Registry();
 /// The documents beside the numbered figures, in bench-binary order:
 /// Table I (findings only), the block-size explorer, the Fig. 5
 /// clause-usage control and the cache-index, residency-cap and DRAM
-/// row-locality ablations. Not served; Find(slug, Supplements())
+/// row-locality ablations, then the ALU:Fetch x register-step frontier
+/// map that amdmb_adapt prints. Not served; Find(slug, Supplements())
 /// reaches them.
 const std::vector<FigureDef>& Supplements();
 

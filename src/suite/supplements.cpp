@@ -1,18 +1,22 @@
 // The documents beside the numbered figures: Table I, the block-size
-// extension, the Fig. 5 clause-usage control and three model ablations.
+// extension, the Fig. 5 clause-usage control, three model ablations and
+// the 2D bottleneck frontier map.
 //
-// Each Make* function is the former bench binary's Register() body:
-// same curve order, series names, findings, degradations and profile
-// entries, so a quick or paper-scale build is byte-identical to what
-// that binary wrote. They stay out of Registry(), which the daemon
-// serves and the repo benchmark pins; this file is linked only into
-// the programs that call Supplements().
+// Each of the first six Make* functions is a former bench binary's
+// Register() body: same curve order, series names, findings,
+// degradations and profile entries, so a quick or paper-scale build is
+// byte-identical to what that binary wrote. They stay out of
+// Registry(), which the daemon serves and the repo benchmark pins; this
+// file is linked only into the programs that call Supplements().
 #include <algorithm>
 #include <array>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "adapt/frontier.hpp"
+#include "adapt/transition.hpp"
 #include "arch/occupancy.hpp"
 #include "suite/figures.hpp"
 #include "suite/suite.hpp"
@@ -323,6 +327,94 @@ FigureDef MakeRowLocalityAblation() {
   return def;
 }
 
+// Figs. 7 and 16 crossed: the register-ladder kernel's bottleneck over
+// the ALU:Fetch ratio x ladder-step plane on the 4870, refined by
+// quadrant (adapt/frontier.hpp). The lowest ratio leaves every ladder
+// row an ALU budget that PlanUsage accepts.
+FigureDef MakeFrontier() {
+  FigureDef def;
+  def.slug = "frontier_alu_fetch_x_gpr";
+  def.id = "Frontier ALU:Fetch x GPR";
+  def.title = "Bottleneck Frontier Map (4870 Pixel)";
+  def.x_label = "ALU:Fetch Ratio";
+  def.y_label = "Register Ladder Step";
+  def.paper_claim =
+      "The ALU-bound region should grow toward lower ratios as the "
+      "register ladder frees GPRs and occupancy rises (Figs. 7 and 16 "
+      "crossed)";
+  def.what = "2D bottleneck map, ALU:Fetch ratio x register-ladder step";
+  const std::string curve = "ALU-bound boundary";
+  def.curves.push_back(
+      {curve, [curve](report::Figure& fig, const RunOptions& opts) {
+         static constexpr double kRatioMin = 0.75;
+         static constexpr double kRatioMax = 8.0;
+         const std::size_t nx = opts.quick ? 5 : 9;
+         const std::size_t ny = opts.quick ? 4 : 8;
+         RegisterUsageConfig config = Quick<RegisterUsageConfig>(opts);
+         config.repetitions = opts.quick ? 50 : 100;
+         const sim::LaunchConfig launch = config.Launch(
+             opts.quick ? Domain{128, 128} : Domain{256, 256},
+             ShaderMode::kPixel, config.block);
+         const Runner runner(MakeRV770());
+         const auto ratio_of = [nx](std::size_t ix) {
+           return kRatioMin + (kRatioMax - kRatioMin) *
+                                  static_cast<double>(ix) /
+                                  static_cast<double>(nx - 1);
+         };
+         adapt::FrontierResult refined = adapt::RefineGrid(
+             nx, ny, ratio_of,
+             [](std::size_t iy) { return static_cast<double>(iy); },
+             [&](std::size_t ix, std::size_t iy, unsigned attempt) {
+               RegisterUsageConfig node = config;
+               node.alu_fetch_ratio = ratio_of(ix);
+               // The point name keys faults and degradation text.
+               const Measurement m = runner.Measure(
+                   RegisterUsageKernel(node, ShaderMode::kPixel,
+                                       DataType::kFloat,
+                                       static_cast<unsigned>(iy)),
+                   launch,
+                   {"frontier_x" + std::to_string(ix) + "_y" +
+                        std::to_string(iy),
+                    attempt});
+               return std::string(sim::ToString(m.stats.bottleneck));
+             },
+             opts.adaptive, config.executor, config.retry, config.cancel);
+         refined.frontier.x_label = "ALU:Fetch Ratio";
+         refined.frontier.y_label = "Register Ladder Step";
+
+         // The boundary curve: per ladder step, the first ratio classified
+         // ALU-bound (rows with no flip contribute no point).
+         const std::string alu_label(sim::ToString(sim::Bottleneck::kAlu));
+         Series& boundary = fig.set.Get(curve);
+         for (std::size_t iy = 0; iy < ny; ++iy) {
+           std::vector<adapt::Sample> row;
+           for (std::size_t ix = 0; ix < nx; ++ix) {
+             const std::string& label = refined.frontier.cells[iy * nx + ix];
+             if (!label.empty()) row.push_back({ratio_of(ix), label});
+           }
+           if (const auto t = adapt::FirstTransitionTo(row, alu_label)) {
+             boundary.Add(t->upper_x, static_cast<double>(iy));
+             fig.findings.push_back(
+                 {report::FindingKind::kCrossover, curve,
+                  "row_crossover_step" + std::to_string(iy), t->upper_x,
+                  "ratio", std::string(adapt::ToString(t->kind))});
+           }
+         }
+         fig.findings.push_back(
+             {report::FindingKind::kEvent, curve, "frontier_points",
+              static_cast<double>(refined.frontier.points_measured),
+              "points",
+              "of " + std::to_string(refined.frontier.points_dense) +
+                  " dense nodes"});
+         for (report::Degradation& d :
+              report::DegradationsFrom(refined.report, curve)) {
+           fig.degradations.push_back(std::move(d));
+         }
+         fig.frontier = std::move(refined.frontier);
+       }});
+  return def;
+}
+
 }  // namespace
 
 const std::vector<FigureDef>& Supplements() {
@@ -333,6 +425,7 @@ const std::vector<FigureDef>& Supplements() {
       MakeCacheIndexAblation(),
       MakeOccupancyAblation(),
       MakeRowLocalityAblation(),
+      MakeFrontier(),
   };
   return supplements;
 }

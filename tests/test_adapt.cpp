@@ -231,25 +231,29 @@ std::string DiagonalField(std::size_t ix, std::size_t iy) {
 }
 
 TEST(FrontierTest, QuadrantRefinementMatchesDenseLabels) {
-  adapt::FrontierConfig config;
   const auto x_of = [](std::size_t i) { return static_cast<double>(i); };
   // Incremented from the default executor's pool threads.
   std::atomic<std::size_t> spent = 0;
-  config.dense = false;
+  // on_wave runs on the sweep thread, after each wave.
+  std::vector<adapt::WaveInfo> waves;
+  adapt::Settings settings;
+  settings.on_wave = [&](const adapt::WaveInfo& info) {
+    waves.push_back(info);
+  };
   const adapt::FrontierResult adaptive = adapt::RefineGrid(
       9, 8, x_of, x_of,
       [&](std::size_t ix, std::size_t iy, unsigned) {
         ++spent;
         return DiagonalField(ix, iy);
       },
-      config);
-  config.dense = true;
+      &settings, nullptr, exec::RetryPolicy{});
+  const std::size_t adaptive_waves = waves.size();
   const adapt::FrontierResult dense = adapt::RefineGrid(
       9, 8, x_of, x_of,
       [](std::size_t ix, std::size_t iy, unsigned) {
         return DiagonalField(ix, iy);
       },
-      config);
+      nullptr, nullptr, exec::RetryPolicy{});
   ASSERT_EQ(adaptive.frontier.cells.size(), 9u * 8u);
   // Every cell — measured or filled from agreeing corners — matches the
   // dense truth, and refinement spent strictly fewer measurements.
@@ -258,42 +262,44 @@ TEST(FrontierTest, QuadrantRefinementMatchesDenseLabels) {
   EXPECT_LT(adaptive.frontier.points_measured,
             dense.frontier.points_measured);
   EXPECT_EQ(dense.frontier.points_measured, 9u * 8u);
+  // One call per refinement level, numbered from 0, ending at the total
+  // spend; the dense run has no settings and reports no wave.
+  ASSERT_GT(adaptive_waves, 0u);
+  EXPECT_EQ(waves.size(), adaptive_waves);
+  for (std::size_t i = 0; i < waves.size(); ++i) {
+    EXPECT_EQ(waves[i].wave, i);
+    EXPECT_EQ(waves[i].dense_points, 9u * 8u);
+  }
+  EXPECT_EQ(waves.back().points_spent, adaptive.frontier.points_measured);
 }
 
 TEST(FrontierTest, GridIsIdenticalAtAnyExecutorWidth) {
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
   const auto x_of = [](std::size_t i) { return static_cast<double>(i); };
-  adapt::FrontierConfig config;
-  config.executor = &serial;
+  const adapt::Settings settings;
+  const auto measure = [](std::size_t ix, std::size_t iy, unsigned) {
+    return DiagonalField(ix, iy);
+  };
   const adapt::FrontierResult a = adapt::RefineGrid(
-      9, 8, x_of, x_of,
-      [](std::size_t ix, std::size_t iy, unsigned) {
-        return DiagonalField(ix, iy);
-      },
-      config);
-  config.executor = &wide;
+      9, 8, x_of, x_of, measure, &settings, &serial, exec::RetryPolicy{});
   const adapt::FrontierResult b = adapt::RefineGrid(
-      9, 8, x_of, x_of,
-      [](std::size_t ix, std::size_t iy, unsigned) {
-        return DiagonalField(ix, iy);
-      },
-      config);
+      9, 8, x_of, x_of, measure, &settings, &wide, exec::RetryPolicy{});
   EXPECT_EQ(a.frontier.cells, b.frontier.cells);
   EXPECT_EQ(a.frontier.measured, b.frontier.measured);
   EXPECT_EQ(a.frontier.points_measured, b.frontier.points_measured);
 }
 
 TEST(FrontierTest, BudgetLeavesUnresolvedCellsEmpty) {
-  adapt::FrontierConfig config;
-  config.budget = 4;  // Not even the first corner wave fits.
+  adapt::Settings settings;
+  settings.budget = 4;  // Not even the first corner wave fits.
   const auto x_of = [](std::size_t i) { return static_cast<double>(i); };
   const adapt::FrontierResult r = adapt::RefineGrid(
       9, 8, x_of, x_of,
       [](std::size_t ix, std::size_t iy, unsigned) {
         return DiagonalField(ix, iy);
       },
-      config);
+      &settings, nullptr, exec::RetryPolicy{});
   EXPECT_LE(r.frontier.points_measured, 4u);
   EXPECT_GT(std::count(r.frontier.cells.begin(), r.frontier.cells.end(),
                        std::string()),
@@ -375,39 +381,34 @@ TEST(AdaptiveBudgetTest, Fig7FamilySpendsAtMostAFifthOfDense) {
 }
 
 // Determinism satellite: the adaptive BENCH JSON is byte-identical at
-// executor width 1 and 8 (AMDMB_THREADS invariance).
+// executor width 1 and 8 (AMDMB_THREADS invariance), for a registry
+// figure and for the 2D frontier map.
 TEST(AdaptiveDeterminismTest, BenchJsonIsByteIdenticalAcrossWidths) {
-  const suite::figures::FigureDef* def = suite::figures::Find("fig_7");
-  ASSERT_NE(def, nullptr);
+  const suite::figures::FigureDef* fig7 = suite::figures::Find("fig_7");
+  const suite::figures::FigureDef* frontier = suite::figures::Find(
+      "frontier_alu_fetch_x_gpr", suite::figures::Supplements());
+  ASSERT_NE(fig7, nullptr);
+  ASSERT_NE(frontier, nullptr);
   adapt::Settings settings;
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
-  suite::figures::RunOptions opts;
-  opts.quick = true;
-  opts.adaptive = &settings;
-  opts.executor = &serial;
-  const std::string a = report::BenchJson(suite::figures::Build(*def, opts));
-  opts.executor = &wide;
-  const std::string b = report::BenchJson(suite::figures::Build(*def, opts));
-  EXPECT_EQ(a, b);
-}
-
-TEST(AdaptiveDeterminismTest, FrontierFigureIsByteIdenticalAcrossWidths) {
-  adapt::FrontierConfig config;
-  config.nx = 5;
-  config.ny = 4;
-  config.domain = Domain{64, 64};
-  config.repetitions = 10;
-  const exec::SweepExecutor serial(1);
-  const exec::SweepExecutor wide(8);
-  config.executor = &serial;
-  const std::string a = report::BenchJson(adapt::BuildFrontierFigure(config));
-  config.executor = &wide;
-  const std::string b = report::BenchJson(adapt::BuildFrontierFigure(config));
-  EXPECT_EQ(a, b);
-  // The frontier block actually made it into the document.
-  EXPECT_NE(a.find("\"frontier\""), std::string::npos);
-  EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos);
+  for (const suite::figures::FigureDef* def : {fig7, frontier}) {
+    suite::figures::RunOptions opts;
+    opts.quick = true;
+    opts.adaptive = &settings;
+    opts.executor = &serial;
+    const std::string a =
+        report::BenchJson(suite::figures::Build(*def, opts));
+    opts.executor = &wide;
+    const std::string b =
+        report::BenchJson(suite::figures::Build(*def, opts));
+    EXPECT_EQ(a, b) << def->slug;
+    EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos) << def->slug;
+    if (def == frontier) {
+      // The frontier block actually made it into the document.
+      EXPECT_NE(a.find("\"frontier\""), std::string::npos);
+    }
+  }
 }
 
 // Determinism satellite: a seeded fault schedule retries points but

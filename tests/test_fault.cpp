@@ -349,11 +349,10 @@ TEST(InjectedHangTest, ResolvesAsTimeoutWithoutRunningForever) {
 
 // ---- Supplement documents degrade instead of aborting ------------------
 
-report::Figure BuildRowLocalityQuick() {
+report::Figure BuildSupplementQuick(const char* slug) {
   const suite::figures::FigureDef* def =
-      suite::figures::Find("ablation_dram_row_activation_penalty_on_fills",
-                           suite::figures::Supplements());
-  if (def == nullptr) throw std::runtime_error("row-locality ablation");
+      suite::figures::Find(slug, suite::figures::Supplements());
+  if (def == nullptr) throw std::runtime_error(slug);
   suite::figures::RunOptions opts;
   opts.quick = true;
   return suite::figures::Build(*def, opts);
@@ -363,7 +362,8 @@ report::Figure BuildRowLocalityQuick() {
 // first injected launch fault escaped as an uncaught CalError.
 TEST(SupplementFaultTest, RowLocalityRecordsLaunchFaultsAsDegradations) {
   ScopedFaultInjector scoped("launch:0.5,seed=7");
-  const report::Figure figure = BuildRowLocalityQuick();
+  const report::Figure figure =
+      BuildSupplementQuick("ablation_dram_row_activation_penalty_on_fills");
   ASSERT_FALSE(figure.degradations.empty());
   for (const report::Degradation& d : figure.degradations) {
     EXPECT_EQ(d.point.rfind("row_penalty_", 0), 0u) << d.Render();
@@ -372,16 +372,32 @@ TEST(SupplementFaultTest, RowLocalityRecordsLaunchFaultsAsDegradations) {
   }
 }
 
+// Every point of the row-locality sweep and every node of the frontier
+// map hangs: each one is skipped as a timeout, and nothing is filled in
+// from a guess.
 TEST(SupplementFaultTest, RowLocalityHangsResolveAsTimeouts) {
   ScopedFaultInjector scoped("hang:1");
-  const report::Figure figure = BuildRowLocalityQuick();
-  ASSERT_FALSE(figure.degradations.empty());
-  for (const report::Degradation& d : figure.degradations) {
-    EXPECT_EQ(d.status, "skipped") << d.Render();
-    EXPECT_NE(d.error.find("kCalTimeout"), std::string::npos) << d.Render();
-  }
-  for (const Series& series : figure.set.All()) {
-    EXPECT_TRUE(series.Points().empty()) << series.Name();
+  for (const char* slug : {"ablation_dram_row_activation_penalty_on_fills",
+                           "frontier_alu_fetch_x_gpr"}) {
+    const report::Figure figure = BuildSupplementQuick(slug);
+    ASSERT_FALSE(figure.degradations.empty()) << slug;
+    for (const report::Degradation& d : figure.degradations) {
+      EXPECT_EQ(d.status, "skipped") << d.Render();
+      EXPECT_NE(d.error.find("kCalTimeout"), std::string::npos)
+          << d.Render();
+    }
+    for (const Series& series : figure.set.All()) {
+      EXPECT_TRUE(series.Points().empty()) << series.Name();
+    }
+    if (figure.Slug() != "frontier_alu_fetch_x_gpr") continue;
+    ASSERT_TRUE(figure.frontier.has_value());
+    EXPECT_EQ(figure.degradations.size(), figure.frontier->cells.size());
+    for (const report::Degradation& d : figure.degradations) {
+      EXPECT_EQ(d.point.rfind("node_x", 0), 0u) << d.Render();
+    }
+    for (const std::string& cell : figure.frontier->cells) {
+      EXPECT_EQ(cell, "");
+    }
   }
 }
 

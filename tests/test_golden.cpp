@@ -4,9 +4,10 @@
 // moves every number the same way passes them all. These digests do
 // not: each ctest case builds one document — a registry figure or a
 // supplement (Table I, the Fig. 5 control, the ablations, the
-// block-size extension) at quick scale, dense or adaptive, or a quick
-// kerncap characterization of a valid corpus kernel, dense or adaptive
-// — and compares its digest with tests/golden/digests.json. One more
+// block-size extension, the frontier map) at quick scale, dense or
+// adaptive, or a quick kerncap characterization of a valid corpus
+// kernel, dense or adaptive — and compares its digest with
+// tests/golden/digests.json. One more
 // case pins the kerncap cross-check points (kernels and launches).
 //
 // Digest: FNV-1a 64 (standard offset basis) of report::BenchJson with

@@ -314,7 +314,8 @@ TEST(FigureRegistry, SupplementsAreFoundOnlyInTheirOwnList) {
       "ablation_clause_usage_control_paper_fig_5",
       "ablation_2_d_cache_set_indexing",
       "ablation_wavefront_residency_cap",
-      "ablation_dram_row_activation_penalty_on_fills"};
+      "ablation_dram_row_activation_penalty_on_fills",
+      "frontier_alu_fetch_x_gpr"};
   EXPECT_EQ(slugs, expected);
   for (const FigureDef& def : Supplements()) {
     EXPECT_EQ(def.slug, report::FigureSlug(def.id)) << def.id;

@@ -1,45 +1,38 @@
 // amdmb_adapt — the adaptive-sweep driver and cross-checker.
 //
 // Verbs:
-//   figure <slug> [--quick] [--tol N] [--budget N] [--json]
+//   figure <slug> [--quick] [--tol N] [--budget N] [--max-ratio F] [--json]
 //       Runs the registry figure twice — densely and adaptively — and
 //       diffs every crossover finding between the two documents. Each
 //       crossover must agree within the refinement tolerance (tol grid
-//       steps); the points-spent ratio is reported. --json prints the
-//       adaptive document's BENCH JSON to stdout. Exit 0 agreement,
-//       4 disagreement.
-//   budget <fig_7|fig_8|fig_9> [--max-ratio F] [--tol N]
-//       Runs the Fig. 7-9 ALU:Fetch family at the full 32-ratio grid
-//       (quick 256x256 domains) and asserts the adaptive run spends at
-//       most F (default 0.2) of the dense point count while agreeing on
-//       every crossover. Exit 0 ok, 4 disagreement, 5 over budget.
-//   frontier [--dense] [--quick] [--budget N] [--json]
+//       steps); the points-spent ratio is reported and must be at most
+//       F in (0, 1] when given. --json prints the adaptive document's
+//       BENCH JSON to stdout. Exit 0 ok, 4 disagreement, 5 over budget.
+//   frontier [--dense | --budget N] [--quick] [--json]
 //       Builds the 2D ALU:Fetch x register-step bottleneck frontier map
-//       (adapt/frontier.hpp) and prints it through the text sink, or as
-//       BENCH JSON with --json. AMDMB_JSON_DIR / AMDMB_DUMP_DIR write
+//       (a supplement document) and prints it through the text sink, or
+//       as BENCH JSON with --json. AMDMB_JSON_DIR / AMDMB_DUMP_DIR write
 //       the document and the pm3d heatmap exactly like a bench binary.
 //   --list
 //       Prints every registry figure slug usable with `figure`.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "adapt/frontier.hpp"
 #include "adapt/refiner.hpp"
 #include "common/env.hpp"
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "common/version.hpp"
-#include "report/csv_sink.hpp"
 #include "report/gnuplot_sink.hpp"
 #include "report/json_sink.hpp"
 #include "report/text_sink.hpp"
-#include "suite/alu_fetch.hpp"
 #include "suite/figures.hpp"
-#include "suite/microbench.hpp"
 
 namespace {
 
@@ -48,11 +41,24 @@ using namespace amdmb;
 int Usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " <verb> [options]\n"
-      << "  figure <slug> [--quick] [--tol N] [--budget N] [--json]\n"
-      << "  budget <fig_7|fig_8|fig_9> [--max-ratio F] [--tol N]\n"
-      << "  frontier [--dense] [--quick] [--budget N] [--json]\n"
+      << "  figure <slug> [--quick] [--tol N] [--budget N] [--max-ratio F]"
+         " [--json]\n"
+      << "  frontier [--dense | --budget N] [--quick] [--json]\n"
       << "  --list, --version\n";
   return 2;
+}
+
+/// The --max-ratio operand: the whole token must be a finite number in
+/// (0, 1].
+double ParseMaxRatio(std::string_view text) {
+  double ratio = 0.0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), ratio);
+  Require(ec == std::errc() && ptr == text.data() + text.size() &&
+              std::isfinite(ratio) && ratio > 0.0 && ratio <= 1.0,
+          "--max-ratio '" + std::string(text) +
+              "': must be a point share in (0, 1]");
+  return ratio;
 }
 
 /// Largest adjacent x spacing over every dense curve: the unit the
@@ -126,7 +132,7 @@ double AdaptivePointsSpent(const report::Figure& adaptive) {
 }
 
 int RunFigure(const std::string& slug, bool quick, adapt::Settings settings,
-              bool json) {
+              std::optional<double> max_ratio, bool json) {
   const suite::figures::FigureDef* def = suite::figures::Find(slug);
   if (def == nullptr) {
     std::cerr << "error: unknown figure slug: " << slug << "\n";
@@ -162,104 +168,29 @@ int RunFigure(const std::string& slug, bool quick, adapt::Settings settings,
               << RenderValue(diff.dense) << ", adaptive "
               << RenderValue(diff.adaptive) << "\n";
   }
+  const double ratio = dense_points > 0 ? spent / dense_points : 0.0;
   std::cerr << "  points: adaptive " << FormatDouble(spent, 0) << " of "
             << dense_points << " dense";
   if (dense_points > 0) {
-    std::cerr << " ("
-              << FormatDouble(100.0 * spent / dense_points, 1) << "%)";
+    std::cerr << " (" << FormatDouble(100.0 * ratio, 1) << "%)";
+  }
+  if (max_ratio) {
+    std::cerr << ", limit " << FormatDouble(100.0 * *max_ratio, 1) << "%";
   }
   std::cerr << "\n";
   if (json) std::cout << report::BenchJson(adaptive);
-  return disagreements == 0 ? 0 : 4;
-}
-
-/// The registry's Fig. 7-9 sweep configs at full ratio resolution but
-/// quick domains — the grid the <= 1/5 budget claim is stated on.
-struct BudgetFamily {
-  std::vector<suite::CurveKey> curves;
-  suite::AluFetchConfig config;
-};
-
-std::optional<BudgetFamily> FamilyFor(const std::string& slug) {
-  const std::string key = suite::figures::NormalizeSlug(slug);
-  BudgetFamily family;
-  family.config.domain = Domain{256, 256};
-  if (key == suite::figures::NormalizeSlug("fig_7")) {
-    family.curves = suite::PaperCurves();
-    return family;
-  }
-  if (key == suite::figures::NormalizeSlug("fig_8")) {
-    family.curves = suite::PaperCurves(/*include_pixel=*/false);
-    family.config.block = BlockShape{4, 16};
-    return family;
-  }
-  if (key == suite::figures::NormalizeSlug("fig_9")) {
-    family.curves = suite::PaperCurves(/*include_pixel=*/true,
-                                       /*include_compute=*/false);
-    family.config.read_path = ReadPath::kGlobal;
-    family.config.write_path = WritePath::kStream;
-    return family;
-  }
-  return std::nullopt;
-}
-
-int RunBudget(const std::string& slug, double max_ratio,
-              adapt::Settings settings) {
-  const std::optional<BudgetFamily> family = FamilyFor(slug);
-  if (!family.has_value()) {
-    std::cerr << "error: budget verb covers fig_7, fig_8, fig_9; got "
-              << slug << "\n";
-    return 2;
-  }
-  std::size_t dense_total = 0;
-  std::size_t adaptive_total = 0;
-  std::size_t disagreements = 0;
-  for (const suite::CurveKey& key : family->curves) {
-    const suite::Runner runner(key.arch);
-    const suite::AluFetchResult dense =
-        suite::RunAluFetch(runner, key.mode, key.type, family->config);
-    suite::AluFetchConfig adaptive_config = family->config;
-    adaptive_config.adaptive = &settings;
-    const suite::AluFetchResult adaptive =
-        suite::RunAluFetch(runner, key.mode, key.type, adaptive_config);
-    dense_total += dense.points.size();
-    adaptive_total += adaptive.adaptive->points_spent;
-    const double tolerance =
-        settings.tol_steps * family->config.ratio_step + 1e-9;
-    const bool agree =
-        dense.crossover.has_value() == adaptive.crossover.has_value() &&
-        (!dense.crossover.has_value() ||
-         std::abs(*dense.crossover - *adaptive.crossover) <= tolerance);
-    if (!agree) ++disagreements;
-    std::cerr << "  " << (agree ? "ok      " : "DISAGREE") << "  "
-              << key.Name() << ": dense " << RenderValue(dense.crossover)
-              << " (" << dense.points.size() << " pts), adaptive "
-              << RenderValue(adaptive.crossover) << " ("
-              << adaptive.adaptive->points_spent << " pts)\n";
-  }
-  const double ratio =
-      dense_total > 0
-          ? static_cast<double>(adaptive_total) / dense_total
-          : 0.0;
-  std::cerr << slug << ": adaptive " << adaptive_total << " of "
-            << dense_total << " dense points ("
-            << FormatDouble(100.0 * ratio, 1) << "%), limit "
-            << FormatDouble(100.0 * max_ratio, 1) << "%\n";
   if (disagreements > 0) return 4;
-  return ratio <= max_ratio ? 0 : 5;
+  return max_ratio && ratio > *max_ratio ? 5 : 0;
 }
 
-int RunFrontier(bool dense, bool quick, std::uint64_t budget, bool json) {
-  adapt::FrontierConfig config;
-  config.dense = dense;
-  config.budget = budget;
-  if (quick) {
-    config.nx = 5;
-    config.ny = 4;
-    config.domain = Domain{128, 128};
-    config.repetitions = 50;
-  }
-  const report::Figure figure = adapt::BuildFrontierFigure(config);
+int RunFrontier(bool dense, bool quick, const adapt::Settings& settings,
+                bool json) {
+  const suite::figures::FigureDef* def = suite::figures::Find(
+      "frontier_alu_fetch_x_gpr", suite::figures::Supplements());
+  suite::figures::RunOptions opts;
+  opts.quick = quick;
+  opts.adaptive = dense ? nullptr : &settings;
+  const report::Figure figure = suite::figures::Build(*def, opts);
   if (json) {
     std::cout << report::BenchJson(figure);
   } else {
@@ -300,7 +231,8 @@ int main(int argc, char** argv) {
     bool quick = false;
     bool json = false;
     bool dense = false;
-    double max_ratio = 0.2;
+    bool has_budget = false;
+    std::optional<double> max_ratio;
     adapt::Settings settings = adapt::Settings::FromEnv();
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -319,13 +251,9 @@ int main(int argc, char** argv) {
         settings.tol_steps = env::ParseAdaptTol(argv[++i]);
       } else if (arg == "--budget" && i + 1 < argc) {
         settings.budget = env::ParseAdaptBudget(argv[++i]);
+        has_budget = true;
       } else if (arg == "--max-ratio" && i + 1 < argc) {
-        try {
-          max_ratio = std::stod(argv[++i]);
-        } catch (const std::exception&) {
-          throw ConfigError(std::string("--max-ratio: not a number: ") +
-                            argv[i]);
-        }
+        max_ratio = ParseMaxRatio(argv[++i]);
       } else if (!arg.empty() && arg[0] == '-') {
         return Usage(argv[0]);
       } else if (verb.empty()) {
@@ -337,13 +265,12 @@ int main(int argc, char** argv) {
       }
     }
     if (verb == "figure" && !slug.empty()) {
-      return RunFigure(slug, quick, settings, json);
+      return RunFigure(slug, quick, settings, max_ratio, json);
     }
-    if (verb == "budget" && !slug.empty()) {
-      return RunBudget(slug, max_ratio, settings);
-    }
-    if (verb == "frontier" && slug.empty()) {
-      return RunFrontier(dense, quick, settings.budget, json);
+    // A dense map measures every node, so a budget has no meaning there.
+    if (verb == "frontier" && slug.empty() && !max_ratio &&
+        !(dense && has_budget)) {
+      return RunFrontier(dense, quick, settings, json);
     }
     return Usage(argv[0]);
   } catch (const std::exception& e) {
