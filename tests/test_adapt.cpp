@@ -381,34 +381,43 @@ TEST(AdaptiveBudgetTest, Fig7FamilySpendsAtMostAFifthOfDense) {
 }
 
 // Determinism satellite: the adaptive BENCH JSON is byte-identical at
-// executor width 1 and 8 (AMDMB_THREADS invariance), for a registry
-// figure and for the 2D frontier map.
+// executor width 1 and 8 (AMDMB_THREADS invariance).
 TEST(AdaptiveDeterminismTest, BenchJsonIsByteIdenticalAcrossWidths) {
-  const suite::figures::FigureDef* fig7 = suite::figures::Find("fig_7");
-  const suite::figures::FigureDef* frontier = suite::figures::Find(
-      "frontier_alu_fetch_x_gpr", suite::figures::Supplements());
-  ASSERT_NE(fig7, nullptr);
-  ASSERT_NE(frontier, nullptr);
+  const suite::figures::FigureDef* def = suite::figures::Find("fig_7");
+  ASSERT_NE(def, nullptr);
   adapt::Settings settings;
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
-  for (const suite::figures::FigureDef* def : {fig7, frontier}) {
-    suite::figures::RunOptions opts;
-    opts.quick = true;
-    opts.adaptive = &settings;
-    opts.executor = &serial;
-    const std::string a =
-        report::BenchJson(suite::figures::Build(*def, opts));
-    opts.executor = &wide;
-    const std::string b =
-        report::BenchJson(suite::figures::Build(*def, opts));
-    EXPECT_EQ(a, b) << def->slug;
-    EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos) << def->slug;
-    if (def == frontier) {
-      // The frontier block actually made it into the document.
-      EXPECT_NE(a.find("\"frontier\""), std::string::npos);
-    }
-  }
+  suite::figures::RunOptions opts;
+  opts.quick = true;
+  opts.adaptive = &settings;
+  opts.executor = &serial;
+  const std::string a = report::BenchJson(suite::figures::Build(*def, opts));
+  opts.executor = &wide;
+  const std::string b = report::BenchJson(suite::figures::Build(*def, opts));
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos);
+}
+
+// The same for the 2D frontier map, a registry supplement.
+TEST(AdaptiveDeterminismTest, FrontierFigureIsByteIdenticalAcrossWidths) {
+  const suite::figures::FigureDef* def = suite::figures::Find(
+      "frontier_alu_fetch_x_gpr", suite::figures::Supplements());
+  ASSERT_NE(def, nullptr);
+  adapt::Settings settings;
+  const exec::SweepExecutor serial(1);
+  const exec::SweepExecutor wide(8);
+  suite::figures::RunOptions opts;
+  opts.quick = true;
+  opts.adaptive = &settings;
+  opts.executor = &serial;
+  const std::string a = report::BenchJson(suite::figures::Build(*def, opts));
+  opts.executor = &wide;
+  const std::string b = report::BenchJson(suite::figures::Build(*def, opts));
+  EXPECT_EQ(a, b);
+  // The frontier block actually made it into the document.
+  EXPECT_NE(a.find("\"frontier\""), std::string::npos);
+  EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos);
 }
 
 // Determinism satellite: a seeded fault schedule retries points but
