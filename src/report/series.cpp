@@ -4,6 +4,7 @@
 #include <iomanip>
 #include <map>
 #include <sstream>
+#include <utility>
 
 namespace amdmb {
 
@@ -45,17 +46,23 @@ namespace {
 std::string RenderGrid(const SeriesSet& set, const std::string& title,
                        const std::string& x_label, char sep, int precision,
                        bool pad) {
-  // Union of x values across curves, ascending.
-  std::map<double, std::vector<std::optional<double>>> grid;
+  // One row per (x, n), ascending: n counts the earlier points of the
+  // same curve at that x, so a curve with several points at one x (the
+  // frontier boundary) keeps them all.
+  std::map<std::pair<double, std::size_t>, std::vector<std::optional<double>>>
+      grid;
   const auto& all = set.All();
   for (std::size_t si = 0; si < all.size(); ++si) {
-    for (const auto& p : all[si].Points()) {
-      auto& row = grid[p.x];
+    const auto& points = all[si].Points();
+    for (auto p = points.begin(); p != points.end(); ++p) {
+      const auto n = std::count_if(points.begin(), p, [&](const auto& q) {
+        return q.x == p->x;
+      });
+      auto& row = grid[{p->x, static_cast<std::size_t>(n)}];
       row.resize(all.size());
-      row[si] = p.y;
+      row[si] = p->y;
     }
   }
-  for (auto& [x, row] : grid) row.resize(all.size());
 
   std::ostringstream os;
   os << "# " << title << "\n";
@@ -78,10 +85,10 @@ std::string RenderGrid(const SeriesSet& set, const std::string& title,
     os << "\n";
   };
   emit(header);
-  for (const auto& [x, row] : grid) {
+  for (const auto& [key, row] : grid) {
     std::vector<std::string> cells;
     std::ostringstream xs;
-    xs << std::setprecision(precision) << x;
+    xs << std::setprecision(precision) << key.first;
     cells.push_back(xs.str());
     for (const auto& y : row) {
       if (y.has_value()) {

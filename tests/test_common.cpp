@@ -172,6 +172,23 @@ TEST(SeriesSetTest, ColumnRenderingMergesXGrids) {
   EXPECT_NE(csv.find("x,a,b"), std::string::npos);
 }
 
+// A curve may hold several points at one x (the frontier boundary
+// does): each gets its own row, in the curve's order, and another
+// curve's point at that x shares the first of them.
+TEST(SeriesSetTest, RenderingKeepsPointsThatShareAnX) {
+  SeriesSet set("fig", "x", "y");
+  set.Get("a").Add(1, 0);
+  set.Get("a").Add(2, 3);
+  set.Get("a").Add(1, 1);
+  set.Get("b").Add(1, 5);
+  EXPECT_EQ(set.RenderCsv(2),
+            "# fig\n"
+            "x,a,b\n"
+            "1,0.00,5.00\n"
+            "1,1.00,\n"
+            "2,3.00,\n");
+}
+
 
 TEST(PercentileTest, HandlesEmptyAndSingleSamples) {
   EXPECT_EQ(Percentile({}, 50.0), 0.0);
