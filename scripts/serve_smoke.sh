@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the amdmb_serve daemon:
 #
-#   1. start amdmb_serve on a private socket,
-#   2. submit a quick fig07 sweep through amdmb_client and diff the
+#   1. assert that amdmb_client rejects malformed numbers (exit 1, the
+#      flag named on stderr) before it tries to connect,
+#   2. start amdmb_serve on a private socket,
+#   3. submit a quick fig07 sweep through amdmb_client and diff the
 #      returned document against the standalone bench binary's
 #      BENCH_fig_7.json (byte-identical is the contract),
-#   3. submit it again and assert the shared kernel cache was hit,
-#   4. run the deterministic load generator,
-#   5. make 200 sequential stats connections and assert the daemon's
+#   4. submit it again and assert the shared kernel cache was hit,
+#   5. run the deterministic load generator,
+#   6. make 200 sequential stats connections and assert the daemon's
 #      open fds did not grow with them (finished sessions are reaped),
-#   6. SIGTERM the daemon and assert a clean drain (exit 0).
+#   7. SIGTERM the daemon and assert a clean drain (exit 0).
 #
 # Usage: scripts/serve_smoke.sh <build-dir>
 set -euo pipefail
@@ -34,6 +36,27 @@ cleanup() {
   rm -rf "$WORK_DIR"
 }
 trap cleanup EXIT
+
+echo "== malformed numbers fail before any connect"
+for bad in "--requests 8abc" "--connect-retries -1"; do
+  flag=${bad%% *}
+  BAD_EXIT=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value.
+  "$CLIENT" bench $bad --socket "$SOCKET" > /dev/null \
+    2> "$WORK_DIR/bad.log" || BAD_EXIT=$?
+  [[ "$BAD_EXIT" -eq 1 ]] || {
+    echo "bench $bad exited $BAD_EXIT, expected 1"; cat "$WORK_DIR/bad.log"
+    exit 1
+  }
+  grep -q -- "$flag" "$WORK_DIR/bad.log" || {
+    echo "bench $bad: stderr does not name $flag"; cat "$WORK_DIR/bad.log"
+    exit 1
+  }
+  if grep -q "connect(" "$WORK_DIR/bad.log"; then
+    echo "bench $bad tried to connect"; cat "$WORK_DIR/bad.log"; exit 1
+  fi
+  echo "   bench $bad: $(cat "$WORK_DIR/bad.log")"
+done
 
 echo "== starting amdmb_serve on $SOCKET"
 "$SERVE" --socket "$SOCKET" --queue 4 --inflight 1 \

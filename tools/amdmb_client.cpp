@@ -30,6 +30,7 @@
 // /tmp/amdmb_serve.sock) and --connect-retries R (capped-backoff
 // re-attempts when nothing listens yet; default fail-fast). --version
 // prints the build's git describe.
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -37,6 +38,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/env.hpp"
@@ -74,12 +76,17 @@ std::vector<std::string> SplitCommaList(const std::string& text) {
   return out;
 }
 
-std::uint64_t ParseCount(const char* flag, const std::string& text) {
-  try {
-    return std::stoull(text);
-  } catch (const std::exception&) {
+/// Parses all of `text` as the flag's own type: no blank, no trailing
+/// character, no sign on an unsigned flag and no overflow.
+template <typename T>
+T ParseNumber(const char* flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) {
     throw ConfigError(std::string(flag) + ": not a number: " + text);
   }
+  return value;
 }
 
 int RunSubmit(serve::Client& client, const std::string& figure, bool quick,
@@ -263,23 +270,20 @@ int main(int argc, char** argv) {
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--priority" && i + 1 < argc) {
-        priority = static_cast<int>(ParseCount("--priority", argv[++i]));
+        priority = ParseNumber<int>("--priority", argv[++i]);
       } else if (arg == "--requests" && i + 1 < argc) {
-        load.requests =
-            static_cast<std::size_t>(ParseCount("--requests", argv[++i]));
+        load.requests = ParseNumber<std::size_t>("--requests", argv[++i]);
       } else if (arg == "--concurrency" && i + 1 < argc) {
-        load.concurrency =
-            static_cast<unsigned>(ParseCount("--concurrency", argv[++i]));
+        load.concurrency = ParseNumber<unsigned>("--concurrency", argv[++i]);
       } else if (arg == "--seed" && i + 1 < argc) {
-        load.seed = ParseCount("--seed", argv[++i]);
+        load.seed = ParseNumber<std::uint64_t>("--seed", argv[++i]);
       } else if (arg == "--figures" && i + 1 < argc) {
         load.figures = SplitCommaList(argv[++i]);
       } else if (arg == "--connect-retries" && i + 1 < argc) {
-        load.connect_retries = static_cast<unsigned>(
-            ParseCount("--connect-retries", argv[++i]));
+        load.connect_retries =
+            ParseNumber<unsigned>("--connect-retries", argv[++i]);
       } else if (arg == "--kill-worker" && i + 1 < argc) {
-        load.kill_workers = static_cast<unsigned>(
-            ParseCount("--kill-worker", argv[++i]));
+        load.kill_workers = ParseNumber<unsigned>("--kill-worker", argv[++i]);
       } else if (arg.size() > 1 && arg[0] == '-') {
         return Usage(argv[0]);  // Bare "-" falls through: IL on stdin.
       } else if (verb.empty()) {
