@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <iterator>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/env.hpp"
@@ -24,118 +28,262 @@ double Outcome::SpendFraction() const {
          static_cast<double>(dense_points);
 }
 
-Refiner::Refiner(Settings settings, const exec::SweepExecutor* executor,
-                 exec::RetryPolicy retry, const exec::CancelToken* cancel)
-    : settings_(std::move(settings)),
-      executor_(executor),
-      retry_(retry),
-      cancel_(cancel) {
-  Require(settings_.tol_steps >= 1, "Refiner: tol_steps must be >= 1");
-  Require(settings_.coarse_points >= 2,
-          "Refiner: coarse_points must be >= 2");
-}
+namespace {
 
-Outcome Refiner::Run(std::size_t dense_count, const XOfFn& x_of,
-                     const MeasureFn& measure,
-                     exec::RunReport* report) const {
-  Outcome outcome;
-  outcome.dense_points = dense_count;
-  if (dense_count == 0) return outcome;
+/// Points in a refinement's coarse pass, both grid endpoints included.
+constexpr std::size_t kCoarsePoints = 3;
 
-  const exec::SweepExecutor& executor = exec::ExecutorOrDefault(executor_);
-  // labels[i] is set once index i was measured and classified; attempted
-  // marks indices that ran (successfully or not) so no index is ever
-  // measured twice and the loop terminates.
-  std::vector<std::optional<std::string>> labels(dense_count);
-  std::vector<char> attempted(dense_count, 0);
+/// The wave engine under Refine and RefineGrid. Each Run measures one
+/// batch of grid indices as a single MapWithPolicy call; the refiners
+/// choose each batch from the labels of the waves before it.
+class Waves {
+ public:
+  Waves(std::size_t count, const Settings* adaptive,
+        const exec::SweepExecutor* executor, const exec::RetryPolicy& retry,
+        const exec::CancelToken* cancel, exec::RunReport* report)
+      : labels(count),
+        attempted(count, 0),
+        count_(count),
+        adaptive_(adaptive),
+        executor_(exec::ExecutorOrDefault(executor)),
+        retry_(retry),
+        cancel_(cancel),
+        report_(report) {}
 
-  const auto run_wave = [&](std::vector<std::size_t> indices) {
-    if (settings_.budget > 0) {
-      const std::uint64_t left =
-          settings_.budget > outcome.points_spent
-              ? settings_.budget - outcome.points_spent
-              : 0;
+  /// Measures `indices` in index order, deduplicated and cut to the
+  /// budget lowest index first. Returns false when nothing is left to
+  /// measure (an empty batch, or the budget is spent).
+  bool Run(std::vector<std::size_t> indices, const MeasureFn& measure) {
+    std::sort(indices.begin(), indices.end());
+    indices.erase(std::unique(indices.begin(), indices.end()),
+                  indices.end());
+    const std::uint64_t budget = adaptive_ != nullptr ? adaptive_->budget : 0;
+    if (budget > 0) {
+      const std::uint64_t left = budget > spent ? budget - spent : 0;
       if (indices.size() > left) indices.resize(left);
     }
     if (indices.empty()) return false;
     exec::RunReport wave_report;
-    auto slots = executor.MapWithPolicy(
+    auto slots = executor_.MapWithPolicy(
         indices.size(),
         [&](std::size_t k, unsigned attempt) {
           return measure(indices[k], attempt);
         },
-        retry_, report != nullptr ? &wave_report : nullptr, cancel_);
+        retry_, report_ != nullptr ? &wave_report : nullptr, cancel_);
     for (std::size_t k = 0; k < indices.size(); ++k) {
       attempted[indices[k]] = 1;
       if (slots[k].has_value()) labels[indices[k]] = std::move(*slots[k]);
     }
-    if (report != nullptr) {
+    if (report_ != nullptr) {
       for (exec::PointOutcome& point : wave_report.points) {
         point.index = indices[point.index];
         point.label = "point " + std::to_string(point.index);
       }
-      report->points.insert(report->points.end(),
-                            std::make_move_iterator(wave_report.points.begin()),
-                            std::make_move_iterator(wave_report.points.end()));
+      report_->points.insert(
+          report_->points.end(),
+          std::make_move_iterator(wave_report.points.begin()),
+          std::make_move_iterator(wave_report.points.end()));
     }
-    outcome.points_spent += indices.size();
-    const WaveInfo info{outcome.waves, indices.size(), outcome.points_spent,
-                        dense_count};
-    ++outcome.waves;
-    if (settings_.on_wave) settings_.on_wave(info);
+    spent += indices.size();
+    const WaveInfo info{waves, indices.size(), spent, count_};
+    ++waves;
+    if (adaptive_ != nullptr && adaptive_->on_wave) adaptive_->on_wave(info);
     return true;
-  };
+  }
 
-  // Coarse pass: coarse_points evenly spaced indices including both
-  // endpoints (everything, for tiny grids).
-  {
+  /// labels[i] is set once index i was measured and classified;
+  /// attempted marks indices that ran (successfully or not), so no index
+  /// is measured twice and every refinement terminates.
+  std::vector<std::optional<std::string>> labels;
+  std::vector<char> attempted;
+  std::size_t spent = 0;  ///< Points measured so far.
+  std::size_t waves = 0;  ///< Waves run so far.
+
+ private:
+  std::size_t count_;
+  const Settings* adaptive_;
+  const exec::SweepExecutor& executor_;
+  exec::RetryPolicy retry_;
+  const exec::CancelToken* cancel_;
+  exec::RunReport* report_;
+};
+
+std::vector<std::size_t> AllIndices(std::size_t count) {
+  std::vector<std::size_t> all(count);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return all;
+}
+
+/// One quadrant under refinement: inclusive corner node bounds.
+struct Cell {
+  std::size_t x0 = 0;
+  std::size_t y0 = 0;
+  std::size_t x1 = 0;
+  std::size_t y1 = 0;
+};
+
+}  // namespace
+
+Outcome Refine(std::size_t count, const XOfFn& x_of, const MeasureFn& measure,
+               const Settings* adaptive, const exec::SweepExecutor* executor,
+               const exec::RetryPolicy& retry,
+               const exec::CancelToken* cancel, exec::RunReport* report) {
+  Require(adaptive == nullptr || adaptive->tol_steps >= 1,
+          "Refine: tol_steps must be >= 1");
+  Outcome outcome;
+  outcome.dense_points = count;
+  if (count == 0) return outcome;
+
+  Waves waves(count, adaptive, executor, retry, cancel, report);
+  if (adaptive == nullptr) {
+    waves.Run(AllIndices(count), measure);
+  } else {
+    // Coarse pass: kCoarsePoints evenly spaced indices including both
+    // endpoints; a grid with no more indices than that is measured
+    // whole, since Run drops the duplicates.
     std::vector<std::size_t> coarse;
-    if (dense_count <= settings_.coarse_points) {
-      for (std::size_t i = 0; i < dense_count; ++i) coarse.push_back(i);
-    } else {
-      for (std::size_t k = 0; k < settings_.coarse_points; ++k) {
-        coarse.push_back(k * (dense_count - 1) /
-                         (settings_.coarse_points - 1));
+    for (std::size_t k = 0; k < kCoarsePoints; ++k) {
+      coarse.push_back(k * (count - 1) / (kCoarsePoints - 1));
+    }
+    waves.Run(std::move(coarse), measure);
+
+    // Bisection waves: for every adjacent pair of classified indices
+    // with differing labels and a gap wider than tol_steps, measure the
+    // midpoint. The next wave's composition depends only on
+    // deterministic prior labels, so the trajectory is
+    // scheduling-independent.
+    for (;;) {
+      std::vector<std::size_t> classified;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (waves.labels[i].has_value()) classified.push_back(i);
       }
-      coarse.erase(std::unique(coarse.begin(), coarse.end()), coarse.end());
+      std::vector<std::size_t> next;
+      for (std::size_t k = 1; k < classified.size(); ++k) {
+        const std::size_t lo = classified[k - 1];
+        const std::size_t hi = classified[k];
+        if (*waves.labels[lo] == *waves.labels[hi]) continue;
+        if (hi - lo <= adaptive->tol_steps) continue;
+        const std::size_t mid = lo + (hi - lo) / 2;
+        // A midpoint that already ran and failed leaves its interval
+        // unrefined — re-measuring a deterministic failure cannot help.
+        if (!waves.attempted[mid]) next.push_back(mid);
+      }
+      if (!waves.Run(std::move(next), measure)) break;
     }
-    run_wave(std::move(coarse));
   }
 
-  // Bisection waves: for every adjacent pair of classified indices with
-  // differing labels and a gap wider than tol_steps, measure the
-  // midpoint. The next wave's composition depends only on deterministic
-  // prior labels, so the trajectory is scheduling-independent.
-  for (;;) {
-    std::vector<std::size_t> classified;
-    for (std::size_t i = 0; i < dense_count; ++i) {
-      if (labels[i].has_value()) classified.push_back(i);
-    }
-    std::vector<std::size_t> next;
-    for (std::size_t k = 1; k < classified.size(); ++k) {
-      const std::size_t lo = classified[k - 1];
-      const std::size_t hi = classified[k];
-      if (*labels[lo] == *labels[hi]) continue;
-      if (hi - lo <= settings_.tol_steps) continue;
-      const std::size_t mid = lo + (hi - lo) / 2;
-      // A midpoint that already ran and failed leaves its interval
-      // unrefined — re-measuring a deterministic failure cannot help.
-      if (!attempted[mid]) next.push_back(mid);
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    if (next.empty() || !run_wave(std::move(next))) break;
-  }
-
-  for (std::size_t i = 0; i < dense_count; ++i) {
-    if (attempted[i]) outcome.measured.push_back(i);
-    if (labels[i].has_value()) {
-      outcome.samples.push_back(Sample{x_of(i), *labels[i]});
-      outcome.sample_indices.push_back(i);
+  outcome.points_spent = waves.spent;
+  outcome.waves = waves.waves;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (waves.attempted[i]) outcome.measured.push_back(i);
+    if (waves.labels[i].has_value()) {
+      outcome.samples.push_back(Sample{x_of(i), *waves.labels[i]});
     }
   }
   outcome.transitions = DetectTransitions(outcome.samples);
   return outcome;
+}
+
+FrontierResult RefineGrid(
+    std::size_t nx, std::size_t ny,
+    const std::function<double(std::size_t)>& x_of,
+    const std::function<double(std::size_t)>& y_of,
+    const std::function<std::string(std::size_t ix, std::size_t iy,
+                                    unsigned attempt)>& measure,
+    const Settings* adaptive, const exec::SweepExecutor* executor,
+    const exec::RetryPolicy& retry, const exec::CancelToken* cancel) {
+  Require(nx >= 2 && ny >= 2, "RefineGrid: grid needs at least 2x2 nodes");
+  FrontierResult result;
+  report::Frontier& frontier = result.frontier;
+  for (std::size_t i = 0; i < nx; ++i) frontier.xs.push_back(x_of(i));
+  for (std::size_t i = 0; i < ny; ++i) frontier.ys.push_back(y_of(i));
+  // Nodes are indexed iy * nx + ix.
+  const std::size_t total = nx * ny;
+  frontier.points_dense = total;
+  const MeasureFn measure_node = [&](std::size_t node, unsigned attempt) {
+    return measure(node % nx, node / nx, attempt);
+  };
+
+  Waves waves(total, adaptive, executor, retry, cancel, &result.report);
+  std::vector<std::optional<std::string>>& labels = waves.labels;
+  if (adaptive == nullptr) {
+    waves.Run(AllIndices(total), measure_node);
+  } else {
+    std::vector<Cell> active{{0, 0, nx - 1, ny - 1}};
+    while (!active.empty()) {
+      // One wave per refinement level: every corner any active cell
+      // still needs.
+      std::vector<std::size_t> need;
+      for (const Cell& c : active) {
+        for (const std::size_t node :
+             {c.y0 * nx + c.x0, c.y0 * nx + c.x1, c.y1 * nx + c.x0,
+              c.y1 * nx + c.x1}) {
+          if (!waves.attempted[node]) need.push_back(node);
+        }
+      }
+      const bool exhausted =
+          !need.empty() && !waves.Run(std::move(need), measure_node);
+
+      std::vector<Cell> next;
+      for (const Cell& c : active) {
+        const std::optional<std::string>* corners[4] = {
+            &labels[c.y0 * nx + c.x0], &labels[c.y0 * nx + c.x1],
+            &labels[c.y1 * nx + c.x0], &labels[c.y1 * nx + c.x1]};
+        const bool complete = corners[0]->has_value() &&
+                              corners[1]->has_value() &&
+                              corners[2]->has_value() &&
+                              corners[3]->has_value();
+        if (complete && **corners[0] == **corners[1] &&
+            **corners[0] == **corners[2] && **corners[0] == **corners[3]) {
+          // Uniform quadrant: fill its interior from the corner label
+          // (measured nodes keep their own values).
+          for (std::size_t iy = c.y0; iy <= c.y1; ++iy) {
+            for (std::size_t ix = c.x0; ix <= c.x1; ++ix) {
+              if (!labels[iy * nx + ix].has_value()) {
+                labels[iy * nx + ix] = **corners[0];
+              }
+            }
+          }
+          continue;
+        }
+        if (exhausted) continue;  // Budget spent; stop splitting.
+        const std::size_t dx = c.x1 - c.x0;
+        const std::size_t dy = c.y1 - c.y0;
+        if (dx <= 1 && dy <= 1) continue;  // Minimal cell: resolved.
+        const std::size_t mx = c.x0 + dx / 2;
+        const std::size_t my = c.y0 + dy / 2;
+        if (dx > 1 && dy > 1) {
+          next.push_back({c.x0, c.y0, mx, my});
+          next.push_back({mx, c.y0, c.x1, my});
+          next.push_back({c.x0, my, mx, c.y1});
+          next.push_back({mx, my, c.x1, c.y1});
+        } else if (dx > 1) {
+          next.push_back({c.x0, c.y0, mx, c.y1});
+          next.push_back({mx, c.y0, c.x1, c.y1});
+        } else {
+          next.push_back({c.x0, c.y0, c.x1, my});
+          next.push_back({c.x0, my, c.x1, c.y1});
+        }
+      }
+      active = std::move(next);
+      if (exhausted) break;
+    }
+  }
+
+  for (exec::PointOutcome& point : result.report.points) {
+    point.label = "node_x" + std::to_string(point.index % nx) + "_y" +
+                  std::to_string(point.index / nx);
+  }
+  frontier.points_measured = waves.spent;
+  frontier.cells.assign(total, "");
+  frontier.measured.assign(total, false);
+  for (std::size_t i = 0; i < total; ++i) {
+    if (labels[i].has_value()) frontier.cells[i] = *labels[i];
+    // A filled node that was then measured and skipped keeps its fill
+    // label and counts as measured.
+    frontier.measured[i] = waves.attempted[i] && labels[i].has_value();
+  }
+  return result;
 }
 
 namespace {

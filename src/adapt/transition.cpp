@@ -1,6 +1,6 @@
 #include "adapt/transition.hpp"
 
-#include <cmath>
+#include <utility>
 
 namespace amdmb::adapt {
 
@@ -50,29 +50,6 @@ std::optional<Transition> FirstTransitionTo(const std::vector<Sample>& samples,
     return t;
   }
   return std::nullopt;
-}
-
-std::optional<std::size_t> KneeIndex(const std::vector<double>& xs,
-                                     const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 3) return std::nullopt;
-  const double dx = xs.back() - xs.front();
-  const double dy = ys.back() - ys.front();
-  const double chord = std::sqrt(dx * dx + dy * dy);
-  if (chord == 0.0) return std::nullopt;
-  std::size_t best = 0;
-  double best_distance = 0.0;
-  for (std::size_t i = 1; i + 1 < xs.size(); ++i) {
-    // Perpendicular distance from (xs[i], ys[i]) to the chord.
-    const double distance =
-        std::abs(dy * (xs[i] - xs.front()) - dx * (ys[i] - ys.front())) /
-        chord;
-    if (distance > best_distance) {
-      best_distance = distance;
-      best = i;
-    }
-  }
-  if (best == 0) return std::nullopt;
-  return best;
 }
 
 }  // namespace amdmb::adapt

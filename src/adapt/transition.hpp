@@ -83,12 +83,4 @@ std::vector<Transition> DetectTransitions(const std::vector<Sample>& samples);
 std::optional<Transition> FirstTransitionTo(const std::vector<Sample>& samples,
                                             const std::string& target);
 
-/// Index of the knee of the curve (xs[i], ys[i]): the point with the
-/// largest perpendicular distance from the chord joining the first and
-/// last points. Returns nullopt for fewer than three points or a
-/// degenerate (zero-length) chord. Used to aim refinement at curve
-/// bends when there is no label flip to chase.
-std::optional<std::size_t> KneeIndex(const std::vector<double>& xs,
-                                     const std::vector<double>& ys);
-
 }  // namespace amdmb::adapt

@@ -43,31 +43,6 @@ std::string RunReport::Summary() const {
   return os.str();
 }
 
-std::vector<std::string> RunReport::FailureLines() const {
-  std::vector<std::string> lines;
-  for (const PointOutcome& p : points) {
-    if (p.status == PointStatus::kOk) continue;
-    std::ostringstream os;
-    os << (p.label.empty() ? "point " + std::to_string(p.index) : p.label)
-       << ": " << ToString(p.status) << ", " << p.attempts << " attempt"
-       << (p.attempts == 1 ? "" : "s");
-    if (!p.error.empty()) os << " — " << p.error;
-    lines.push_back(os.str());
-  }
-  return lines;
-}
-
-void RunReport::Merge(const RunReport& other, std::string_view prefix) {
-  points.reserve(points.size() + other.points.size());
-  for (const PointOutcome& p : other.points) {
-    PointOutcome merged = p;
-    merged.label = std::string(prefix) + "/" +
-                   (p.label.empty() ? "point " + std::to_string(p.index)
-                                    : p.label);
-    points.push_back(std::move(merged));
-  }
-}
-
 bool RunReport::SameOutcomes(const RunReport& other) const {
   if (points.size() != other.points.size()) return false;
   for (std::size_t i = 0; i < points.size(); ++i) {

@@ -48,13 +48,6 @@ struct RunReport {
   /// "17 ok, 2 retried, 1 skipped of 20 points".
   std::string Summary() const;
 
-  /// One line per non-ok point: "alufetch_r0.25: retried, 2 attempts — ...".
-  std::vector<std::string> FailureLines() const;
-
-  /// Appends `other`'s outcomes with labels prefixed "<prefix>/" (suite
-  /// reports aggregate one report per curve).
-  void Merge(const RunReport& other, std::string_view prefix);
-
   /// Determinism comparison: statuses, attempts, labels, and errors must
   /// match; wall times are excluded.
   bool SameOutcomes(const RunReport& other) const;

@@ -92,7 +92,7 @@ void RunCurve(report::Figure& figure, const Prepared& prepared,
       [&](std::size_t i, unsigned attempt) {
         sim::LaunchConfig launch = sweep.Launch(
             Domain{domains[i], domains[i]}, key.mode, BlockShape{64, 1});
-        launch.watchdog_cycles = options.watchdog_cycles;
+        launch.watchdog_cycles = kAnalysisWatchdogCycles;
         return Rung{domains[i],
                     MeasureAt(prepared, key.arch, launch, name_of(i), attempt)};
       },
@@ -138,7 +138,7 @@ report::Figure Characterize(const Prepared& prepared,
   // the process snapshot. Sweep results themselves are bit-identical at
   // any executor width (exec::SweepExecutor::Map's ordering guarantee).
   figure.meta.threads = 1;
-  figure.meta.watchdog_cycles = options.watchdog_cycles;
+  figure.meta.watchdog_cycles = kAnalysisWatchdogCycles;
   figure.meta.adaptive = options.adaptive != nullptr;
   return figure;
 }

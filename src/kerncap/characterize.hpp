@@ -43,11 +43,10 @@ inline constexpr Cycles kAnalysisWatchdogCycles = 2'000'000'000;
 
 struct CharacterizeOptions {
   bool quick = false;
-  Cycles watchdog_cycles = kAnalysisWatchdogCycles;
   /// Sweep points run through this executor (null = process default).
   /// Results are bit-identical at any width.
   const exec::SweepExecutor* executor = nullptr;
-  /// Non-null refines the domain ladder adaptively (adapt::Refiner)
+  /// Non-null refines the domain ladder adaptively (adapt::Refine)
   /// instead of measuring every rung. The operating point (the last
   /// rung) is always in the coarse pass, so the bottleneck verdict is
   /// still taken at the same launch.

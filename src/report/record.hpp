@@ -4,7 +4,7 @@
 // (RunMeta), the measured curves (the re-homed Series/SeriesSet model),
 // quantitative Findings (crossovers, slopes, plateaus, ratios — the
 // typed replacement for the old free-text note lines), and Degradations
-// (the typed replacement for RunReport::FailureLines() strings). Sinks
+// (one typed record per retried or skipped point). Sinks
 // (report/sink.hpp) render a Figure as text, JSON, CSV, or gnuplot;
 // the amdmb_report tool loads the JSON documents back (report/load.hpp)
 // and aggregates them across figures, so no consumer ever has to
@@ -96,8 +96,7 @@ struct Degradation {
 };
 
 /// Converts every non-ok point of `run` into a Degradation owned by
-/// `curve` (the typed successor of the old NoteFaults/FailureLines
-/// string plumbing).
+/// `curve`.
 std::vector<Degradation> DegradationsFrom(const exec::RunReport& run,
                                           const std::string& curve);
 

@@ -28,7 +28,7 @@ struct AluFetchConfig : SweepOptions {
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;
   WritePath write_path = WritePath::kStream;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner):
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine):
   /// only the coarse pass plus bisection points around bottleneck flips
   /// are measured. Dense output is unchanged when null.
   const adapt::Settings* adaptive = nullptr;

@@ -24,7 +24,7 @@ struct DomainSizeConfig : SweepOptions {
   unsigned inputs = 8;
   double alu_fetch_ratio = 10.0;
   BlockShape block{64, 1};
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner).
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine).
   const adapt::Settings* adaptive = nullptr;
 };
 

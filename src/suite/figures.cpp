@@ -576,8 +576,9 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
     }
   }
   report::FinalizeMeta(figure);
-  // Meta records the scale the figure actually ran at (the request's
-  // quick flag), which for the bench binaries equals AMDMB_QUICK.
+  // Meta records how the figure actually ran: its executor's width and
+  // the request's quick flag (for the bench binaries, AMDMB_QUICK).
+  figure.meta.threads = exec::ExecutorOrDefault(opts.executor).ThreadCount();
   figure.meta.quick = opts.quick;
   figure.meta.adaptive = opts.adaptive != nullptr;
   return figure;

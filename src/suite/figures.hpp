@@ -39,7 +39,7 @@ struct RunOptions {
   /// its remaining points, and Build starts no further curve.
   const exec::CancelToken* cancel = nullptr;
   /// Non-null runs every curve's sweep adaptively (coarse pass +
-  /// bisection, adapt::Refiner) instead of densely. Reflected in
+  /// bisection, adapt::Refine) instead of densely. Reflected in
   /// `figure.meta.adaptive`.
   const adapt::Settings* adaptive = nullptr;
 };

@@ -22,7 +22,7 @@ struct ReadLatencyConfig : SweepOptions {
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;  ///< kGlobal for Fig. 12.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine);
   /// the latency fit then uses only the refined points.
   const adapt::Settings* adaptive = nullptr;
 };

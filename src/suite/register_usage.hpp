@@ -31,7 +31,7 @@ struct RegisterUsageConfig : SweepOptions {
   Domain domain{512, 512};
   BlockShape block{64, 1};
   bool clause_control = false;  ///< true -> the Fig. 5 control kernel.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner).
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine).
   const adapt::Settings* adaptive = nullptr;
 };
 

@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "adapt/frontier.hpp"
+#include "adapt/refiner.hpp"
 #include "adapt/transition.hpp"
 #include "arch/occupancy.hpp"
 #include "suite/figures.hpp"
@@ -329,7 +329,7 @@ FigureDef MakeRowLocalityAblation() {
 
 // Figs. 7 and 16 crossed: the register-ladder kernel's bottleneck over
 // the ALU:Fetch ratio x ladder-step plane on the 4870, refined by
-// quadrant (adapt/frontier.hpp). The lowest ratio leaves every ladder
+// quadrant (adapt::RefineGrid). The lowest ratio leaves every ladder
 // row an ALU budget that PlanUsage accepts.
 FigureDef MakeFrontier() {
   FigureDef def;

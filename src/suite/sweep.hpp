@@ -5,18 +5,8 @@
 // runner's config derives from SweepOptions (how a point executes) and
 // adds its grid; every result is, or derives from, SweepResult (what a
 // sweep yields) and adds its analysis.
-//
-// A dense sweep is a refinement whose coarse pass already covers the
-// whole grid, so SweepPoints always runs adapt::Refiner. Without
-// adaptive settings it sets coarse_points to the grid size: the coarse
-// pass measures every index in one index-ordered wave, and no bisection
-// wave can follow, because every midpoint has already been attempted.
-// That wave is one exec::SweepExecutor::MapWithPolicy batch over the
-// grid, so a dense sweep keeps its points, retry/skip semantics and
-// RunReport order at any thread width.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -84,34 +74,27 @@ struct SweepResult {
   }
 };
 
-/// Sweeps grid indices 0 .. count-1 into `result`: the successful
-/// points in grid order, one PointOutcome per measured point labelled
-/// `label_of(index)`, and the refinement record of adaptive sweeps only.
+/// Sweeps grid indices 0 .. count-1 with adapt::Refine into `result`:
+/// the successful points in grid order, one PointOutcome per measured
+/// point labelled `label_of(index)`, and the refinement record of
+/// adaptive sweeps only.
 ///
 /// - `measure(index, attempt)` measures one Point; its bottleneck
 ///   verdict is the label refinement bisects on. `x_of(index)` is the
 ///   index's x coordinate.
 /// - `options`' executor, retry and cancel act as in MapWithPolicy.
-/// - `adaptive` null sweeps the whole grid; otherwise it holds the
-///   refinement settings.
+/// - `adaptive` null sweeps the whole grid in one wave; otherwise it
+///   holds the refinement settings.
 template <typename Point>
-void SweepPoints(std::size_t count, const adapt::Refiner::XOfFn& x_of,
+void SweepPoints(std::size_t count, const adapt::XOfFn& x_of,
                  const std::function<Point(std::size_t, unsigned)>& measure,
                  const std::function<std::string(std::size_t)>& label_of,
                  const SweepOptions& options,
                  const adapt::Settings* adaptive,
                  SweepResult<Point>& result) {
-  adapt::Settings settings;
-  if (adaptive != nullptr) {
-    settings = *adaptive;
-  } else {
-    settings.coarse_points = std::max<std::size_t>(count, 2);
-  }
   // Waves touch distinct indices, so the slot writes never race.
   std::vector<std::optional<Point>> slots(count);
-  const adapt::Refiner refiner(std::move(settings), options.executor,
-                               options.retry, options.cancel);
-  adapt::Outcome refined = refiner.Run(
+  adapt::Outcome refined = adapt::Refine(
       count, x_of,
       [&](std::size_t i, unsigned attempt) {
         Point point = measure(i, attempt);
@@ -119,6 +102,7 @@ void SweepPoints(std::size_t count, const adapt::Refiner::XOfFn& x_of,
         slots[i] = std::move(point);
         return label;
       },
+      adaptive, options.executor, options.retry, options.cancel,
       &result.report);
   for (exec::PointOutcome& p : result.report.points) {
     p.label = label_of(p.index);

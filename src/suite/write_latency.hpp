@@ -26,7 +26,7 @@ struct WriteLatencyConfig : SweepOptions {
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   WritePath write_path = WritePath::kStream;  ///< kGlobal for Fig. 14.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refiner);
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine);
   /// the latency fit then uses only the refined points.
   const adapt::Settings* adaptive = nullptr;
 };

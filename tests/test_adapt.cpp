@@ -1,7 +1,7 @@
 // Tests for the adaptive sweep subsystem (src/adapt): typed transition
-// detection, the coarse-to-fine Refiner, the 2D frontier quadrant
-// refiner, and the end-to-end dense-vs-adaptive guarantees the ISSUE
-// states — every dense crossover is reproduced within the refinement
+// detection, the coarse-to-fine Refine and its dense one-wave path, the
+// 2D frontier quadrant refiner, and the end-to-end dense-vs-adaptive
+// guarantees — every dense crossover is reproduced within the refinement
 // tolerance, the Fig. 7 family spends at most a fifth of the dense
 // points, the refinement trajectory is bit-stable across executor
 // widths, and a seeded fault-retry schedule never changes which points
@@ -11,14 +11,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "adapt/frontier.hpp"
 #include "adapt/refiner.hpp"
 #include "adapt/transition.hpp"
 #include "arch/gpu_arch.hpp"
+#include "common/status.hpp"
 #include "exec/sweep_executor.hpp"
 #include "fault/fault.hpp"
 #include "report/json_sink.hpp"
@@ -32,7 +33,6 @@ namespace {
 
 using adapt::DetectTransitions;
 using adapt::FirstTransitionTo;
-using adapt::KneeIndex;
 using adapt::Sample;
 using adapt::Transition;
 using adapt::TransitionKind;
@@ -104,21 +104,7 @@ TEST(TransitionTest, FirstTransitionSkipsLaterFlips) {
   EXPECT_EQ(t->kind, TransitionKind::kInterior);
 }
 
-TEST(TransitionTest, KneeFindsTheBendAndRejectsDegenerates) {
-  // Piecewise-linear elbow at x=4.
-  std::vector<double> xs, ys;
-  for (int i = 0; i <= 8; ++i) {
-    xs.push_back(i);
-    ys.push_back(i <= 4 ? 0.0 : (i - 4) * 2.0);
-  }
-  const auto knee = KneeIndex(xs, ys);
-  ASSERT_TRUE(knee.has_value());
-  EXPECT_EQ(*knee, 4u);
-  EXPECT_FALSE(KneeIndex({0.0, 1.0}, {0.0, 1.0}).has_value());
-  EXPECT_FALSE(KneeIndex({1.0, 1.0, 1.0}, {2.0, 2.0, 2.0}).has_value());
-}
-
-// ---- Refiner over synthetic label fields ------------------------------
+// ---- Refine over synthetic label fields ------------------------------
 
 /// A synthetic classifier: "FETCH" below the flip index, "ALU" at and
 /// above it.
@@ -130,14 +116,15 @@ struct StepField {
   }
 };
 
+double IndexX(std::size_t i) { return static_cast<double>(i); }
+
 TEST(RefinerTest, BisectionBracketsTheFlipWithinTolerance) {
   adapt::Settings settings;
   settings.tol_steps = 1;
-  const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
   const StepField field{/*flip=*/20};
-  const adapt::Outcome outcome = refiner.Run(
-      33, [](std::size_t i) { return static_cast<double>(i); },
-      [&](std::size_t i, unsigned a) { return field(i, a); });
+  const adapt::Outcome outcome = adapt::Refine(
+      33, IndexX, [&](std::size_t i, unsigned a) { return field(i, a); },
+      &settings, nullptr, exec::RetryPolicy{});
 
   EXPECT_EQ(outcome.dense_points, 33u);
   EXPECT_LT(outcome.points_spent, 33u / 2);
@@ -154,11 +141,11 @@ TEST(RefinerTest, BisectionBracketsTheFlipWithinTolerance) {
 }
 
 TEST(RefinerTest, PlateauStopsAfterTheCoarsePass) {
-  const adapt::Refiner refiner({}, nullptr, exec::RetryPolicy{});
-  const adapt::Outcome outcome = refiner.Run(
-      33, [](std::size_t i) { return static_cast<double>(i); },
-      [](std::size_t, unsigned) { return "FETCH"; });
-  EXPECT_EQ(outcome.points_spent, 3u);  // Default coarse pass only.
+  const adapt::Settings settings;
+  const adapt::Outcome outcome = adapt::Refine(
+      33, IndexX, [](std::size_t, unsigned) { return "FETCH"; }, &settings,
+      nullptr, exec::RetryPolicy{});
+  EXPECT_EQ(outcome.points_spent, 3u);  // The coarse pass only.
   EXPECT_EQ(outcome.waves, 1u);
   EXPECT_TRUE(outcome.transitions.empty());
 }
@@ -167,11 +154,10 @@ TEST(RefinerTest, BudgetTruncatesDeterministically) {
   adapt::Settings settings;
   settings.tol_steps = 1;
   settings.budget = 4;  // Coarse pass (3) plus one bisection point.
-  const adapt::Refiner refiner(settings, nullptr, exec::RetryPolicy{});
   const StepField field{/*flip=*/20};
-  const adapt::Outcome outcome = refiner.Run(
-      33, [](std::size_t i) { return static_cast<double>(i); },
-      [&](std::size_t i, unsigned a) { return field(i, a); });
+  const adapt::Outcome outcome = adapt::Refine(
+      33, IndexX, [&](std::size_t i, unsigned a) { return field(i, a); },
+      &settings, nullptr, exec::RetryPolicy{});
   EXPECT_EQ(outcome.points_spent, 4u);
   // The flip is still bracketed, just more coarsely than tol asks.
   ASSERT_EQ(outcome.transitions.size(), 1u);
@@ -184,16 +170,14 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
   settings.tol_steps = 1;
   const exec::SweepExecutor serial(1);
   const exec::SweepExecutor wide(8);
-  const StepField f1{/*flip=*/11};
-  const StepField f8{/*flip=*/11};
-  const adapt::Outcome a =
-      adapt::Refiner(settings, &serial, exec::RetryPolicy{})
-          .Run(65, [](std::size_t i) { return static_cast<double>(i); },
-               [&](std::size_t i, unsigned at) { return f1(i, at); });
-  const adapt::Outcome b =
-      adapt::Refiner(settings, &wide, exec::RetryPolicy{})
-          .Run(65, [](std::size_t i) { return static_cast<double>(i); },
-               [&](std::size_t i, unsigned at) { return f8(i, at); });
+  const StepField field{/*flip=*/11};
+  const auto measure = [&](std::size_t i, unsigned at) {
+    return field(i, at);
+  };
+  const adapt::Outcome a = adapt::Refine(65, IndexX, measure, &settings,
+                                         &serial, exec::RetryPolicy{});
+  const adapt::Outcome b = adapt::Refine(65, IndexX, measure, &settings,
+                                         &wide, exec::RetryPolicy{});
   EXPECT_EQ(a.measured, b.measured);
   EXPECT_EQ(a.samples, b.samples);
   EXPECT_EQ(a.waves, b.waves);
@@ -201,11 +185,12 @@ TEST(RefinerTest, TrajectoryIsIdenticalAtAnyExecutorWidth) {
 }
 
 TEST(RefinerTest, AdaptiveFindingsCarryTransitionAndSpend) {
-  const adapt::Refiner refiner({}, nullptr, exec::RetryPolicy{});
+  const adapt::Settings settings;
   const StepField field{/*flip=*/20};
-  const adapt::Outcome outcome = refiner.Run(
+  const adapt::Outcome outcome = adapt::Refine(
       33, [](std::size_t i) { return 0.25 * static_cast<double>(i); },
-      [&](std::size_t i, unsigned a) { return field(i, a); });
+      [&](std::size_t i, unsigned a) { return field(i, a); }, &settings,
+      nullptr, exec::RetryPolicy{});
   const auto findings =
       adapt::AdaptiveFindings(outcome, "4870 Pixel Float", "ratio");
   const report::Finding* flip =
@@ -220,6 +205,42 @@ TEST(RefinerTest, AdaptiveFindingsCarryTransitionAndSpend) {
   EXPECT_EQ(spend->kind, report::FindingKind::kEvent);
   EXPECT_DOUBLE_EQ(*spend->value,
                    static_cast<double>(outcome.points_spent));
+}
+
+// Without settings Refine is a dense sweep: one index-ordered wave over
+// the whole grid, whose skipped points stay in the report and out of
+// the samples.
+TEST(RefinerTest, DenseRunMeasuresEveryIndexInOneWave) {
+  constexpr std::size_t kSkipped = 7;
+  exec::RetryPolicy retry;
+  retry.max_attempts = 1;
+  const StepField field{/*flip=*/20};
+  exec::RunReport report;
+  const adapt::Outcome outcome = adapt::Refine(
+      33, IndexX,
+      [&](std::size_t i, unsigned a) {
+        if (i == kSkipped) throw TransientError("injected");
+        return field(i, a);
+      },
+      nullptr, nullptr, retry, nullptr, &report);
+
+  EXPECT_EQ(outcome.points_spent, 33u);
+  EXPECT_EQ(outcome.waves, 1u);
+  std::vector<std::size_t> all(33);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  EXPECT_EQ(outcome.measured, all);
+  ASSERT_EQ(outcome.samples.size(), 32u);
+  for (const Sample& sample : outcome.samples) {
+    EXPECT_NE(sample.x, static_cast<double>(kSkipped));
+  }
+  ASSERT_EQ(report.points.size(), 33u);
+  for (std::size_t i = 0; i < report.points.size(); ++i) {
+    EXPECT_EQ(report.points[i].index, i);
+    EXPECT_EQ(report.points[i].label, "point " + std::to_string(i));
+    EXPECT_EQ(report.points[i].status, i == kSkipped
+                                           ? exec::PointStatus::kSkipped
+                                           : exec::PointStatus::kOk);
+  }
 }
 
 // ---- 2D frontier quadrant refinement ----------------------------------
@@ -380,8 +401,17 @@ TEST(AdaptiveBudgetTest, Fig7FamilySpendsAtMostAFifthOfDense) {
               settings.tol_steps * config.ratio_step + 1e-9);
 }
 
-// Determinism satellite: the adaptive BENCH JSON is byte-identical at
-// executor width 1 and 8 (AMDMB_THREADS invariance).
+/// BenchJson of `figure` with meta.threads blanked (the golden's
+/// normalisation), after checking that it records `threads`.
+std::string WithoutThreads(report::Figure figure, unsigned threads) {
+  EXPECT_EQ(figure.meta.threads, threads);
+  figure.meta.threads = 0;
+  return report::BenchJson(figure);
+}
+
+// Determinism satellite: apart from meta.threads, the adaptive BENCH
+// JSON is byte-identical at executor width 1 and 8 (AMDMB_THREADS
+// invariance).
 TEST(AdaptiveDeterminismTest, BenchJsonIsByteIdenticalAcrossWidths) {
   const suite::figures::FigureDef* def = suite::figures::Find("fig_7");
   ASSERT_NE(def, nullptr);
@@ -392,9 +422,9 @@ TEST(AdaptiveDeterminismTest, BenchJsonIsByteIdenticalAcrossWidths) {
   opts.quick = true;
   opts.adaptive = &settings;
   opts.executor = &serial;
-  const std::string a = report::BenchJson(suite::figures::Build(*def, opts));
+  const std::string a = WithoutThreads(suite::figures::Build(*def, opts), 1);
   opts.executor = &wide;
-  const std::string b = report::BenchJson(suite::figures::Build(*def, opts));
+  const std::string b = WithoutThreads(suite::figures::Build(*def, opts), 8);
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos);
 }
@@ -411,9 +441,9 @@ TEST(AdaptiveDeterminismTest, FrontierFigureIsByteIdenticalAcrossWidths) {
   opts.quick = true;
   opts.adaptive = &settings;
   opts.executor = &serial;
-  const std::string a = report::BenchJson(suite::figures::Build(*def, opts));
+  const std::string a = WithoutThreads(suite::figures::Build(*def, opts), 1);
   opts.executor = &wide;
-  const std::string b = report::BenchJson(suite::figures::Build(*def, opts));
+  const std::string b = WithoutThreads(suite::figures::Build(*def, opts), 8);
   EXPECT_EQ(a, b);
   // The frontier block actually made it into the document.
   EXPECT_NE(a.find("\"frontier\""), std::string::npos);
