@@ -102,7 +102,7 @@ void RunCurve(report::Figure& figure, const Prepared& prepared,
   for (const Rung& rung : rungs.points) {
     series.Add(wavefronts_of(rung.domain), rung.m.seconds);
   }
-  suite::figures::Note(figure, name, rungs);
+  suite::figures::Note(figure, /*opts=*/{}, name, rungs);
   Require(!rungs.points.empty() && rungs.points.back().domain == domains.back(),
           "kerncap: operating point failed");
   OperatingPointFindings(figure, name, rungs.points.back().m);

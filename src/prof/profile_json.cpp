@@ -1,8 +1,12 @@
 #include "prof/profile_json.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 
+#include "arch/gpu_arch.hpp"
 #include "common/status.hpp"
 #include "report/json.hpp"
 
@@ -16,10 +20,36 @@ namespace {
 /// the documents read naturally.
 std::string U64(std::uint64_t v) { return std::to_string(v); }
 
-std::uint64_t AsU64(const report::JsonValue& v, const char* what) {
-  const double d = v.AsNumber();
-  Require(d >= 0, std::string(what) + ": negative counter value");
+/// The one conversion of a saved count: a number that is a whole value
+/// in [0, max]. `max` defaults to 2^53, past which doubles skip
+/// integers. Anything else is a ConfigError naming `key`, never an
+/// undefined float-to-integer cast.
+std::uint64_t AsU64(const report::JsonValue& v, std::string_view key,
+                    std::uint64_t max = std::uint64_t{1} << 53) {
+  const double d =
+      v.type() == report::JsonValue::Type::kNumber ? v.AsNumber() : -1.0;
+  Require(d >= 0 && d <= static_cast<double>(max) && std::floor(d) == d,
+          "profile JSON: " + std::string(key) +
+              " must be an integer from 0 to " + std::to_string(max));
   return static_cast<std::uint64_t>(d);
+}
+
+/// AsU64 of `object[key]`; 0 when the key is absent.
+std::uint64_t CountOf(const report::JsonValue& object, std::string_view key) {
+  const report::JsonValue* v = object.Find(key);
+  return v == nullptr ? 0 : AsU64(*v, key);
+}
+
+/// The most texture-cache sets of any modelled chip (RV770: 320). It
+/// bounds `cache_sets.total`, which sizes an allocation.
+std::uint64_t MaxCacheSets() {
+  std::uint64_t most = 0;
+  for (const GpuArch& arch : AllArchs()) {
+    most = std::max<std::uint64_t>(
+        most, arch.TotalTexCacheBytes() /
+                  (arch.l1.line_bytes * arch.l1.associativity));
+  }
+  return most;
 }
 
 sim::Bottleneck BottleneckFromString(std::string_view name) {
@@ -59,7 +89,7 @@ CounterSet CounterSetFromJson(const report::JsonValue& value) {
   CounterSet counters;
   for (const auto& [key, v] : value.AsObject()) {
     if (const auto id = CounterIdFromString(key)) {
-      counters.Set(*id, AsU64(v, "counters"));
+      counters.Set(*id, AsU64(v, key));
     }
   }
   return counters;
@@ -129,15 +159,18 @@ std::string ProfileJson(const Profile& profile) {
   return os.str();
 }
 
-Profile ProfileFromJson(const report::JsonValue& value) {
+Profile ParseProfileJson(const std::string& text) {
+  const report::JsonValue value = report::JsonValue::Parse(text);
   Profile profile;
   profile.kernel = value.StringOr("kernel", "");
   profile.point = value.StringOr("point", "");
   profile.arch = value.StringOr("arch", "");
   profile.mode = value.StringOr("mode", "");
   profile.type = value.StringOr("type", "");
-  profile.attempt =
-      static_cast<unsigned>(value.NumberOr("attempt", 1.0));
+  if (const auto* attempt = value.Find("attempt")) {
+    profile.attempt = static_cast<unsigned>(
+        AsU64(*attempt, "attempt", std::numeric_limits<unsigned>::max()));
+  }
   if (const auto* counters = value.Find("counters")) {
     profile.counters = CounterSetFromJson(*counters);
   }
@@ -147,18 +180,15 @@ Profile ProfileFromJson(const report::JsonValue& value) {
           ClauseTypeFromString(entry.StringOr("type", ""));
       ClauseAgg& agg =
           profile.clauses[static_cast<std::size_t>(type)];
-      agg.events = static_cast<std::uint64_t>(entry.NumberOr("events", 0));
-      agg.queue_cycles =
-          static_cast<std::uint64_t>(entry.NumberOr("queue_cycles", 0));
-      agg.service_cycles =
-          static_cast<std::uint64_t>(entry.NumberOr("service_cycles", 0));
+      agg.events = CountOf(entry, "events");
+      agg.queue_cycles = CountOf(entry, "queue_cycles");
+      agg.service_cycles = CountOf(entry, "service_cycles");
     }
   }
   if (const auto* per_simd = value.Find("per_simd")) {
     for (const report::JsonValue& entry : per_simd->AsArray()) {
-      profile.per_simd.push_back(SimdBusy{
-          static_cast<std::uint64_t>(entry.NumberOr("alu_cycles", 0)),
-          static_cast<std::uint64_t>(entry.NumberOr("tex_cycles", 0))});
+      profile.per_simd.push_back(SimdBusy{CountOf(entry, "alu_cycles"),
+                                          CountOf(entry, "tex_cycles")});
     }
   }
   if (const auto* banks = value.Find("row_switches_per_bank")) {
@@ -168,23 +198,23 @@ Profile ProfileFromJson(const report::JsonValue& value) {
     }
   }
   if (const auto* cache = value.Find("cache_sets")) {
-    profile.per_cache_set.resize(
-        static_cast<std::size_t>(cache->NumberOr("total", 0)));
+    if (const auto* total = cache->Find("total")) {
+      profile.per_cache_set.resize(
+          AsU64(*total, "cache_sets.total", MaxCacheSets()));
+    }
     if (const auto* touched = cache->Find("touched")) {
       for (const report::JsonValue& entry : touched->AsArray()) {
-        const auto set =
-            static_cast<std::size_t>(entry.NumberOr("set", 0));
-        if (profile.per_cache_set.size() <= set) {
-          profile.per_cache_set.resize(set + 1);
-        }
+        const std::uint64_t set = CountOf(entry, "set");
+        Require(set < profile.per_cache_set.size(),
+                "profile JSON: touched set " + std::to_string(set) +
+                    " is not below cache_sets.total " +
+                    std::to_string(profile.per_cache_set.size()));
         profile.per_cache_set[set] = CacheSetStats{
-            static_cast<std::uint64_t>(entry.NumberOr("hits", 0)),
-            static_cast<std::uint64_t>(entry.NumberOr("misses", 0))};
+            CountOf(entry, "hits"), CountOf(entry, "misses")};
       }
     }
   }
-  profile.dropped_events =
-      static_cast<std::uint64_t>(value.NumberOr("dropped_events", 0));
+  profile.dropped_events = CountOf(value, "dropped_events");
   if (const auto* attribution = value.Find("attribution")) {
     profile.attribution.bottleneck =
         BottleneckFromString(attribution->StringOr("bottleneck", "ALU"));
@@ -195,10 +225,6 @@ Profile ProfileFromJson(const report::JsonValue& value) {
         attribution->NumberOr("memory_score", 0);
   }
   return profile;
-}
-
-Profile ParseProfileJson(const std::string& text) {
-  return ProfileFromJson(report::JsonValue::Parse(text));
 }
 
 }  // namespace amdmb::prof

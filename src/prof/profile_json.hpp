@@ -24,20 +24,20 @@ namespace amdmb::prof {
 std::string CounterSetJson(const CounterSet& counters);
 
 /// Inverse of CounterSetJson. Unknown keys are ignored (forward
-/// compat); missing counters stay zero. Throws ConfigError when a value
-/// is not a number or `value` is not an object.
+/// compat); missing counters stay zero. Throws ConfigError, naming the
+/// key, when a value is not an integer in [0, 2^53], or when `value` is
+/// not an object.
 CounterSet CounterSetFromJson(const report::JsonValue& value);
 
 /// The full profile document, one JSON object.
 std::string ProfileJson(const Profile& profile);
 
-/// Inverse of ProfileJson (modulo the event/occupancy streams, which
-/// the document intentionally omits). Throws ConfigError on shape
-/// errors.
-Profile ProfileFromJson(const report::JsonValue& value);
-
-/// Parses text with report::JsonValue::Parse and applies
-/// ProfileFromJson.
+/// Parses a ProfileJson document back into a Profile (without the
+/// event/occupancy streams, which the document intentionally omits).
+/// Throws ConfigError on malformed JSON, on shape errors, and, naming
+/// the key, on a count that is not an integer in [0, 2^53], a
+/// `cache_sets.total` above the most sets any modelled chip has, or a
+/// touched set not below `total`.
 Profile ParseProfileJson(const std::string& text);
 
 }  // namespace amdmb::prof

@@ -103,7 +103,7 @@ FigureDef MakeFig7() {
            for (const AluFetchPoint& p : r.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           Note(fig, key.Name(), r);
+           Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
          }});
@@ -135,8 +135,8 @@ FigureDef MakeFig8() {
            for (const AluFetchPoint& p : blocked.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           Note(fig, key.Name() + " 4x16", blocked);
-           Note(fig, key.Name() + " 64x1", naive);
+           Note(fig, opts, key.Name() + " 4x16", blocked);
+           Note(fig, opts, key.Name() + " 64x1", naive);
            if (blocked.points.empty() || naive.points.empty()) return;
            Append(fig, Findings(blocked, key.Name()));
            fig.findings.push_back(
@@ -175,8 +175,8 @@ FigureDef MakeFig9() {
            for (const AluFetchPoint& p : r.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           Note(fig, key.Name() + " global", r);
-           Note(fig, key.Name() + " texture", t);
+           Note(fig, opts, key.Name() + " global", r);
+           Note(fig, opts, key.Name() + " texture", t);
            if (r.points.empty() || t.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
            fig.findings.push_back(
@@ -212,14 +212,14 @@ FigureDef MakeFig10() {
            for (const AluFetchPoint& p : global.points) {
              series.Add(p.ratio, p.m.seconds);
            }
-           Note(fig, key.Name(), global);
+           Note(fig, opts, key.Name(), global);
            if (global.points.empty()) return;
            Append(fig, Findings(global, key.Name()));
            if (key.mode == ShaderMode::kPixel) {
              // Stream-write counterpart (Fig. 9's config).
              const AluFetchResult stream =
                  RunAluFetch(runner, key.mode, key.type, Fig9Config(opts));
-             Note(fig, key.Name() + " stream", stream);
+             Note(fig, opts, key.Name() + " stream", stream);
              if (!stream.points.empty()) {
                fig.findings.push_back(
                    {report::FindingKind::kRatio, key.Name(),
@@ -236,15 +236,15 @@ FigureDef MakeFig10() {
   return def;
 }
 
-void ReadLatencyCurve(report::Figure& fig, const CurveKey& key,
-                      const ReadLatencyConfig& config) {
+void ReadLatencyCurve(report::Figure& fig, const RunOptions& opts,
+                      const CurveKey& key, const ReadLatencyConfig& config) {
   const ReadLatencyResult r =
       RunReadLatency(Runner(key.arch), key.mode, key.type, config);
   Series& series = fig.set.Get(key.Name());
   for (const ReadLatencyPoint& p : r.points) {
     series.Add(p.inputs, p.m.seconds);
   }
-  Note(fig, key.Name(), r);
+  Note(fig, opts, key.Name(), r);
   if (r.points.empty()) return;
   Append(fig, Findings(r, key.Name()));
 }
@@ -264,7 +264,7 @@ FigureDef MakeFig11() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           ReadLatencyCurve(fig, key, Quick<ReadLatencyConfig>(opts));
+           ReadLatencyCurve(fig, opts, key, Quick<ReadLatencyConfig>(opts));
          }});
   }
   return def;
@@ -285,7 +285,7 @@ FigureDef MakeFig12() {
   for (const CurveKey& key : PaperCurves()) {
     def.curves.push_back(
         {key.Name(), [key](report::Figure& fig, const RunOptions& opts) {
-           ReadLatencyCurve(fig, key, Fig12Config(opts));
+           ReadLatencyCurve(fig, opts, key, Fig12Config(opts));
          }});
   }
   return def;
@@ -314,7 +314,7 @@ FigureDef MakeFig13() {
            for (const WriteLatencyPoint& p : r.points) {
              series.Add(p.outputs, p.m.seconds);
            }
-           Note(fig, key.Name(), r);
+           Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.front().detail =
@@ -348,7 +348,7 @@ FigureDef MakeFig14() {
            for (const WriteLatencyPoint& p : r.points) {
              series.Add(p.outputs, p.m.seconds);
            }
-           Note(fig, key.Name(), r);
+           Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.front().detail =
@@ -403,8 +403,8 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
              for (const DomainSizePoint& p : f.points) {
                series.Add(p.size, p.m.seconds);
              }
-             Note(fig, label + " float", f);
-             Note(fig, label + " float4", f4);
+             Note(fig, opts, label + " float", f);
+             Note(fig, opts, label + " float4", f4);
              if (f.points.empty() || f4.points.empty()) return;
              Append(fig, Findings(f, label));
              fig.findings.push_back(
@@ -440,7 +440,7 @@ FigureDef MakeFig16() {
            for (const RegisterUsagePoint& p : r.points) {
              series.Add(p.gpr_count, p.m.seconds);
            }
-           Note(fig, key.Name(), r);
+           Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
            findings.back().detail =
@@ -474,8 +474,8 @@ FigureDef MakeFig17() {
            const RegisterUsageResult naive = RunRegisterUsage(
                runner, key.mode, key.type, Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(key.Name());
-           Note(fig, key.Name() + " 4x16", blocked);
-           Note(fig, key.Name() + " 64x1", naive);
+           Note(fig, opts, key.Name() + " 4x16", blocked);
+           Note(fig, opts, key.Name() + " 64x1", naive);
            double worst_gain = 1e9;
            const std::size_t paired =
                std::min(blocked.points.size(), naive.points.size());

@@ -7,7 +7,7 @@
 // pins. Supplements() has Table I, the Fig. 5 control, three model
 // ablations, the block-size extension and the 2D frontier map. The
 // bench binaries (bench::Main), the daemon, the golden test,
-// example_suite_report and amdmb_adapt all build from these
+// example_suite_report, amdmb_adapt and amdmb_prof all build from these
 // definitions, so a served figure document is byte-identical to the
 // one the standalone binary writes.
 #pragma once
@@ -23,6 +23,7 @@
 #include "exec/run_report.hpp"
 #include "exec/sweep_executor.hpp"
 #include "il/il.hpp"
+#include "prof/profile.hpp"
 #include "report/record.hpp"
 #include "sim/gpu.hpp"
 
@@ -42,6 +43,11 @@ struct RunOptions {
   /// bisection, adapt::Refine) instead of densely. Reflected in
   /// `figure.meta.adaptive`.
   const adapt::Settings* adaptive = nullptr;
+  /// Non-empty turns profiling on in every Quick config and receives,
+  /// from Note, each ProfileEntry's curve and the launch's full profile,
+  /// once and in `figure.profiles` order. The document keeps only the
+  /// entries.
+  std::function<void(const std::string&, const prof::Profile&)> on_profile;
 };
 
 /// One curve of a figure. `run` executes the sweep and appends the
@@ -103,16 +109,18 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
 
 /// Records one sweep on the figure, attributed to `curve`: every non-ok
 /// point of `result.report` as a typed Degradation and every profiled
-/// point as a ProfileEntry (none when profiling was off).
+/// point as a ProfileEntry (none when profiling was off), handing its
+/// profile to opts.on_profile.
 template <typename Result>
-void Note(report::Figure& figure, const std::string& curve,
-          const Result& result) {
+void Note(report::Figure& figure, const RunOptions& opts,
+          const std::string& curve, const Result& result) {
   for (report::Degradation& d :
        report::DegradationsFrom(result.report, curve)) {
     figure.degradations.push_back(std::move(d));
   }
   for (const auto& point : result.points) {
     if (point.m.profile == nullptr) continue;
+    if (opts.on_profile) opts.on_profile(curve, *point.m.profile);
     figure.profiles.push_back(report::MakeProfileEntry(
         curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
   }
@@ -122,8 +130,9 @@ void Note(report::Figure& figure, const std::string& curve,
 void Append(report::Figure& figure, std::vector<report::Finding> findings);
 
 /// A runner config carrying opts: a 256x256 domain when quick (for
-/// configs with one domain), the executor, the cancel token and the
-/// adaptive settings (for configs that refine).
+/// configs with one domain), the executor, the cancel token, profiling
+/// when opts.on_profile is set, and the adaptive settings (for configs
+/// that refine).
 template <typename Config>
 Config Quick(const RunOptions& opts) {
   Config config;
@@ -135,6 +144,7 @@ Config Quick(const RunOptions& opts) {
   }
   config.executor = opts.executor;
   config.cancel = opts.cancel;
+  if (opts.on_profile) config.profile = true;
   return config;
 }
 

@@ -90,7 +90,7 @@ FigureDef MakeBlockSizeExplorer() {
                series.Add(std::log2(static_cast<double>(p.block.x)),
                           p.m.seconds);
              }
-             Note(fig, key.Name(), r);
+             Note(fig, opts, key.Name(), r);
              Append(fig, Findings(r, key.Name()));
            }});
     }
@@ -127,8 +127,8 @@ FigureDef MakeClauseUsageControl() {
            const std::string control_name = arch.name + " clause control";
            Series& s1 = fig.set.Get(kernel);
            Series& s2 = fig.set.Get(control_name);
-           Note(fig, kernel, sweep);
-           Note(fig, control_name, control);
+           Note(fig, opts, kernel, sweep);
+           Note(fig, opts, control_name, control);
            for (const RegisterUsagePoint& p : sweep.points) {
              s1.Add(p.step, p.m.seconds);
            }
@@ -179,8 +179,8 @@ FigureDef MakeCacheIndexAblation() {
                fig.set.Get("4870 64x1 " + type_name + " flat-index");
            const std::string on_curve = "4870 " + type_name + " 2D-index";
            const std::string off_curve = "4870 " + type_name + " flat-index";
-           Note(fig, on_curve, with_2d);
-           Note(fig, off_curve, without_2d);
+           Note(fig, opts, on_curve, with_2d);
+           Note(fig, opts, off_curve, without_2d);
            for (const ReadLatencyPoint& p : with_2d.points) {
              s1.Add(p.inputs, p.m.seconds);
            }
@@ -236,7 +236,7 @@ FigureDef MakeOccupancyAblation() {
            for (const RegisterUsagePoint& p : r.points) {
              series.Add(p.gpr_count, p.m.seconds);
            }
-           Note(fig, name, r);
+           Note(fig, opts, name, r);
            if (r.points.empty()) return;
            fig.findings.push_back(
                {report::FindingKind::kRatio, name, "sweep_improvement",
@@ -315,7 +315,7 @@ FigureDef MakeRowLocalityAblation() {
            for (const Point& p : r.points) {
              series.Add(static_cast<double>(p.penalty), p.m.seconds);
            }
-           Note(fig, shape.name, r);
+           Note(fig, opts, shape.name, r);
            if (r.points.empty()) return;
            fig.findings.push_back(
                {report::FindingKind::kRatio, shape.name,

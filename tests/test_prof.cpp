@@ -1,7 +1,8 @@
 // Profiler subsystem tests: counter registry, collector determinism
 // (thread widths, fault retries), counter-based bottleneck attribution
 // cross-checked against the heuristic classifier, Chrome-trace export
-// (golden document), and profile JSON round-trips.
+// (golden document), profile JSON round-trips and checked parsing, and
+// full profiles out of figures::Build.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -422,6 +423,87 @@ TEST(ProfileJsonTest, CounterSetIgnoresUnknownKeys) {
   const CounterSet c = CounterSetFromJson(
       report::JsonValue::Parse("{\"cycles\": 7, \"from_the_future\": 9}"));
   EXPECT_EQ(c.Get(CounterId::kCycles), 7u);
+}
+
+// A saved profile whose count is negative, fractional, past 2^53 or past
+// its bound is a ConfigError naming the key: never an allocation sized
+// by it, never an undefined float-to-integer cast.
+TEST(ProfileJsonTest, OutOfRangeCountsAreConfigErrors) {
+  const suite::Measurement m = ProfiledMeasurement();
+  ASSERT_NE(m.profile, nullptr);
+  const std::string saved = ProfileJson(*m.profile);
+  ASSERT_NO_THROW(ParseProfileJson(saved));
+  // Replaces the first `"<key>": ` value with `value`; the old value
+  // stays behind under an ignored key.
+  const auto rejects = [&](const std::string& key, const std::string& value,
+                           const std::string& named) {
+    const std::string from = "\"" + key + "\": ";
+    std::string text = saved;
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << key;
+    text.replace(at, from.size(), from + value + ", \"was\": ");
+    try {
+      ParseProfileJson(text);
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects("total", "1e13", "cache_sets.total");
+  rejects("set", "5e12", "touched set");
+  rejects("events", "-1", "events");
+  rejects("queue_cycles", "1e30", "queue_cycles");
+  rejects("cycles", "1.5", "cycles");
+  rejects("attempt", "\"1\"", "attempt");
+}
+
+// ---- Full profiles out of figures::Build --------------------------------
+
+/// Builds `slug` at quick scale on executors of width 1 and 4, without
+/// and with RunOptions::on_profile. The callback sees each ProfileEntry's
+/// curve, point and attributed bottleneck once, in order, and leaves the
+/// document as it is.
+void ExpectOneCallPerProfileEntry(const std::string& slug) {
+  const suite::figures::FigureDef* def = suite::figures::Find(slug);
+  ASSERT_NE(def, nullptr);
+  for (const unsigned width : {1u, 4u}) {
+    SCOPED_TRACE(slug + " at width " + std::to_string(width));
+    const exec::SweepExecutor executor(width);
+    suite::figures::RunOptions opts;
+    opts.quick = true;
+    opts.executor = &executor;
+    const std::string plain =
+        report::BenchJson(suite::figures::Build(*def, opts));
+    EXPECT_EQ(plain.find("\"profile\""), std::string::npos);
+
+    std::vector<report::ProfileEntry> calls;
+    opts.on_profile = [&](const std::string& curve, const Profile& p) {
+      calls.push_back(report::MakeProfileEntry(curve, p, ""));
+    };
+    report::Figure profiled = suite::figures::Build(*def, opts);
+    EXPECT_FALSE(calls.empty());
+    ASSERT_EQ(calls.size(), profiled.profiles.size());
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+      EXPECT_EQ(calls[i].curve, profiled.profiles[i].curve) << i;
+      EXPECT_EQ(calls[i].point, profiled.profiles[i].point) << i;
+      EXPECT_EQ(calls[i].attributed, profiled.profiles[i].attributed) << i;
+    }
+    profiled.profiles.clear();
+    EXPECT_EQ(report::BenchJson(profiled), plain);
+  }
+}
+
+TEST(ProfileCallbackTest, Fig8SeesEveryProfileEntry) {
+  ExpectOneCallPerProfileEntry("fig_8");
+}
+
+TEST(ProfileCallbackTest, Fig11SeesEveryProfileEntry) {
+  ExpectOneCallPerProfileEntry("fig_11");
+}
+
+TEST(ProfileCallbackTest, Fig17SeesEveryProfileEntry) {
+  ExpectOneCallPerProfileEntry("fig_17");
 }
 
 // ---- Report-layer plumbing ---------------------------------------------
