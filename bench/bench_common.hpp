@@ -4,9 +4,9 @@
 // table, a figure or an ablation). It builds their definitions from
 // suite::figures::Registry() or Supplements() with figures::Build, the
 // path the daemon, the golden test and perf/ also take, and prints each
-// record through the configured sinks: the text sink always (the
-// "x  y1  y2 ..." column layout the paper's plots were drawn from plus
-// a "Measured:" findings block), gnuplot / JSON / CSV sinks when their
+// record: report::WriteText always (the "x  y1  y2 ..." column layout
+// the paper's plots were drawn from plus a "Measured:" findings block),
+// then report::WriteFiles for the gnuplot / JSON / CSV files whose
 // output directories are set.
 //
 // Environment (parsed once by common/env.hpp):
@@ -34,37 +34,18 @@
 #include "amdmb.hpp"
 #include "common/env.hpp"
 #include "common/interrupt.hpp"
-#include "report/csv_sink.hpp"
-#include "report/gnuplot_sink.hpp"
-#include "report/json_sink.hpp"
+#include "report/output.hpp"
 #include "report/record.hpp"
-#include "report/text_sink.hpp"
+#include "report/sink.hpp"
 
 namespace amdmb::bench {
 
-/// Writes `figure` through `sink` and names every file it wrote.
-inline void WriteTo(report::FileSink& sink, const report::Figure& figure) {
-  sink.Write(figure);
-  for (const auto& path : sink.Written()) {
-    std::cout << sink.Label() << ": " << path.string() << "\n";
-  }
-}
-
 /// Prints one record: text to stdout, gnuplot and JSON/CSV files when
-/// their directories are set.
+/// their directories are set, each file named on stdout.
 inline void Print(const report::Figure& figure) {
-  report::TextSink(std::cout).Write(figure);
+  report::WriteText(std::cout, figure);
   const env::Options& options = env::Get();
-  if (options.dump_dir) {
-    report::GnuplotSink gnuplot(*options.dump_dir);
-    WriteTo(gnuplot, figure);
-  }
-  if (options.json_dir) {
-    report::JsonSink json(*options.json_dir);
-    WriteTo(json, figure);
-    report::CsvSink csv(*options.json_dir);
-    WriteTo(csv, figure);
-  }
+  report::WriteFiles(figure, options.dump_dir, options.json_dir, std::cout);
   std::cout.flush();
 }
 

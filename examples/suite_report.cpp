@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "amdmb.hpp"
-#include "report/text_sink.hpp"
+#include "report/output.hpp"
 
 int main(int argc, char** argv) {
   namespace figures = amdmb::suite::figures;
@@ -22,10 +22,9 @@ int main(int argc, char** argv) {
     opts.quick = true;
   }
   try {
-    amdmb::report::TextSink sink(std::cout);
     for (const auto* list : {&figures::Registry(), &figures::Supplements()}) {
       for (const figures::FigureDef& def : *list) {
-        sink.Write(figures::Build(def, opts));
+        amdmb::report::WriteText(std::cout, figures::Build(def, opts));
       }
     }
   } catch (const amdmb::ConfigError& e) {

@@ -11,7 +11,8 @@
 #      limit exits 5, and a malformed limit exits 1 before any sweep,
 #   3. amdmb_adapt frontier: the 2D bottleneck frontier map builds, is
 #      byte-deterministic across AMDMB_THREADS (meta.threads aside),
-#      and emits the pm3d heatmap artifacts through the gnuplot sink.
+#      emits the pm3d heatmap artifacts under AMDMB_DUMP_DIR, and
+#      writes its BENCH JSON and CSV under AMDMB_JSON_DIR.
 #
 # Throughput is measured by the repo benchmark (perf/README.md), not here.
 #
@@ -52,7 +53,7 @@ expect_exit 5 figure fig_7 --quick --max-ratio 0.01
 expect_exit 1 figure fig_7 --quick --max-ratio 0.2abc
 expect_exit 2 frontier --dense --budget 4
 
-echo "== frontier map: determinism across thread counts + heatmap sink"
+echo "== frontier map: determinism across thread counts + output files"
 # meta.threads records the width itself, so it is left out of the cmp.
 AMDMB_THREADS=1 "$ADAPT" frontier --quick --json | grep -v '"threads":' \
   > "$WORK_DIR/frontier_t1.json"
@@ -62,5 +63,8 @@ cmp "$WORK_DIR/frontier_t1.json" "$WORK_DIR/frontier_t8.json"
 AMDMB_DUMP_DIR="$WORK_DIR/plots" "$ADAPT" frontier --quick > /dev/null
 ls "$WORK_DIR"/plots/*_frontier.dat "$WORK_DIR"/plots/*_frontier.gp > /dev/null
 grep -q "with image" "$WORK_DIR"/plots/*_frontier.gp
+AMDMB_JSON_DIR="$WORK_DIR/json" "$ADAPT" frontier --quick > /dev/null
+ls "$WORK_DIR/json/BENCH_frontier_alu_fetch_x_gpr.json" \
+  "$WORK_DIR/json/frontier_alu_fetch_x_gpr.csv" > /dev/null
 
 echo "== adapt smoke passed"

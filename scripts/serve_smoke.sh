@@ -9,9 +9,11 @@
 #      BENCH_fig_7.json (byte-identical is the contract),
 #   4. submit it again and assert the shared kernel cache was hit,
 #   5. run the deterministic load generator,
-#   6. make 200 sequential stats connections and assert the daemon's
+#   6. send a line of 100 000 nested '[' and assert a typed
+#      protocol_error, then a stats reply on the same connection,
+#   7. make 200 sequential stats connections and assert the daemon's
 #      open fds did not grow with them (finished sessions are reaped),
-#   7. SIGTERM the daemon and assert a clean drain (exit 0).
+#   8. SIGTERM the daemon and assert a clean drain (exit 0).
 #
 # Usage: scripts/serve_smoke.sh <build-dir>
 set -euo pipefail
@@ -95,6 +97,24 @@ echo "   cache hits: $FIRST_HITS -> $SECOND_HITS"
 echo "== deterministic load generator"
 "$CLIENT" bench --requests 4 --concurrency 2 --seed 7 \
   --figures fig_7 --socket "$SOCKET"
+
+echo "== a deeply nested request line is a typed error, not a crash"
+python3 - "$SOCKET" <<'EOF'
+import json, socket, sys
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.connect(sys.argv[1])
+stream = conn.makefile("rwb")
+stream.write(b"[" * 100000 + b"\n")
+stream.flush()
+error = json.loads(stream.readline())
+assert error["event"] == "error" and error["kind"] == "protocol_error", error
+stream.write(b'{"op":"stats"}\n')
+stream.flush()
+stats = json.loads(stream.readline())
+assert stats["event"] == "stats", stats
+print("   protocol_error:", error["message"])
+EOF
+kill -0 "$SERVE_PID"
 
 echo "== 200 sequential stats connections (finished sessions are reaped)"
 FDS_BEFORE=$(ls "/proc/$SERVE_PID/fd" | wc -l)

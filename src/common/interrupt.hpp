@@ -4,8 +4,8 @@
 // interrupt no longer kills the process mid-write (leaving a truncated
 // BENCH_*.json): the handler only records the signal, and the main
 // loop checks InterruptRequested() at safe points — between curves,
-// before sinks flush — to cut the run short and still emit a complete
-// (if partial) report carrying an "interrupted" finding.
+// before outputs are written — to cut the run short and still emit a
+// complete (if partial) report carrying an "interrupted" finding.
 //
 // The amdmb_serve daemon does NOT use this module: its SIGTERM contract
 // is graceful drain (finish in-flight sweeps), which it wires through

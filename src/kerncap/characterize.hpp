@@ -1,7 +1,7 @@
 // The dynamic half of kerncap: run a prepared (intake-accepted) kernel
 // through the simulator across every architecture and shader mode it is
 // legal in, with hardware-counter profiling on every launch, and emit
-// the result as a typed report::Figure through the existing sink stack.
+// the result as a typed report::Figure through the existing report outputs.
 //
 // The sweep is auto-generated around the kernel's operating point: a
 // square-domain ladder (wavefront count on the x axis) ending at the

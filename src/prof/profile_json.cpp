@@ -1,7 +1,6 @@
 #include "prof/profile_json.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -19,26 +18,6 @@ namespace {
 /// launch this suite runs, but emit them as integer literals anyway so
 /// the documents read naturally.
 std::string U64(std::uint64_t v) { return std::to_string(v); }
-
-/// The one conversion of a saved count: a number that is a whole value
-/// in [0, max]. `max` defaults to 2^53, past which doubles skip
-/// integers. Anything else is a ConfigError naming `key`, never an
-/// undefined float-to-integer cast.
-std::uint64_t AsU64(const report::JsonValue& v, std::string_view key,
-                    std::uint64_t max = std::uint64_t{1} << 53) {
-  const double d =
-      v.type() == report::JsonValue::Type::kNumber ? v.AsNumber() : -1.0;
-  Require(d >= 0 && d <= static_cast<double>(max) && std::floor(d) == d,
-          "profile JSON: " + std::string(key) +
-              " must be an integer from 0 to " + std::to_string(max));
-  return static_cast<std::uint64_t>(d);
-}
-
-/// AsU64 of `object[key]`; 0 when the key is absent.
-std::uint64_t CountOf(const report::JsonValue& object, std::string_view key) {
-  const report::JsonValue* v = object.Find(key);
-  return v == nullptr ? 0 : AsU64(*v, key);
-}
 
 /// The most texture-cache sets of any modelled chip (RV770: 320). It
 /// bounds `cache_sets.total`, which sizes an allocation.
@@ -89,7 +68,7 @@ CounterSet CounterSetFromJson(const report::JsonValue& value) {
   CounterSet counters;
   for (const auto& [key, v] : value.AsObject()) {
     if (const auto id = CounterIdFromString(key)) {
-      counters.Set(*id, AsU64(v, key));
+      counters.Set(*id, report::AsU64(v, key));
     }
   }
   return counters;
@@ -160,6 +139,8 @@ std::string ProfileJson(const Profile& profile) {
 }
 
 Profile ParseProfileJson(const std::string& text) {
+  using report::AsU64;
+  using report::U64Or;
   const report::JsonValue value = report::JsonValue::Parse(text);
   Profile profile;
   profile.kernel = value.StringOr("kernel", "");
@@ -180,15 +161,15 @@ Profile ParseProfileJson(const std::string& text) {
           ClauseTypeFromString(entry.StringOr("type", ""));
       ClauseAgg& agg =
           profile.clauses[static_cast<std::size_t>(type)];
-      agg.events = CountOf(entry, "events");
-      agg.queue_cycles = CountOf(entry, "queue_cycles");
-      agg.service_cycles = CountOf(entry, "service_cycles");
+      agg.events = U64Or(entry, "events", 0);
+      agg.queue_cycles = U64Or(entry, "queue_cycles", 0);
+      agg.service_cycles = U64Or(entry, "service_cycles", 0);
     }
   }
   if (const auto* per_simd = value.Find("per_simd")) {
     for (const report::JsonValue& entry : per_simd->AsArray()) {
-      profile.per_simd.push_back(SimdBusy{CountOf(entry, "alu_cycles"),
-                                          CountOf(entry, "tex_cycles")});
+      profile.per_simd.push_back(SimdBusy{U64Or(entry, "alu_cycles", 0),
+                                          U64Or(entry, "tex_cycles", 0)});
     }
   }
   if (const auto* banks = value.Find("row_switches_per_bank")) {
@@ -204,17 +185,17 @@ Profile ParseProfileJson(const std::string& text) {
     }
     if (const auto* touched = cache->Find("touched")) {
       for (const report::JsonValue& entry : touched->AsArray()) {
-        const std::uint64_t set = CountOf(entry, "set");
+        const std::uint64_t set = U64Or(entry, "set", 0);
         Require(set < profile.per_cache_set.size(),
                 "profile JSON: touched set " + std::to_string(set) +
                     " is not below cache_sets.total " +
                     std::to_string(profile.per_cache_set.size()));
         profile.per_cache_set[set] = CacheSetStats{
-            CountOf(entry, "hits"), CountOf(entry, "misses")};
+            U64Or(entry, "hits", 0), U64Or(entry, "misses", 0)};
       }
     }
   }
-  profile.dropped_events = CountOf(value, "dropped_events");
+  profile.dropped_events = U64Or(value, "dropped_events", 0);
   if (const auto* attribution = value.Find("attribution")) {
     profile.attribution.bottleneck =
         BottleneckFromString(attribution->StringOr("bottleneck", "ALU"));

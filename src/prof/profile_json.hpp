@@ -1,6 +1,6 @@
 // JSON round-trip for prof::Profile and prof::CounterSet, built on the
 // report layer's dependency-free JSON utilities. Used by the
-// amdmb_prof CLI (--json output, --diff input), by the report JSON sink
+// amdmb_prof CLI (--json output, --diff input), by report::BenchJson
 // for the additive "profile" block, and by the round-trip tests.
 //
 // The document carries the sampled aggregates (counters, per-clause

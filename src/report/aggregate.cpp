@@ -1,5 +1,6 @@
 #include "report/aggregate.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/table.hpp"
@@ -7,17 +8,18 @@
 namespace amdmb::report {
 namespace {
 
-void EmitRunMeta(std::ostringstream& out,
-                 const std::vector<LoadedFigure>& figures) {
-  const LoadedFigure* v2 = nullptr;
-  for (const LoadedFigure& figure : figures) {
-    if (figure.schema_version >= 2) {
-      v2 = &figure;
-      break;
-    }
-  }
-  if (v2 == nullptr) return;
-  const RunMeta& m = v2->meta;
+/// The median of `values`, as the BENCH writer computes it.
+double MedianOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t n = values.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? values[n / 2]
+                    : 0.5 * (values[n / 2 - 1] + values[n / 2]);
+}
+
+void EmitRunMeta(std::ostringstream& out, const std::vector<Figure>& figures) {
+  if (figures.empty()) return;
+  const RunMeta& m = figures.front().meta;
   out << "Run: suite " << (m.suite_version.empty() ? "unknown"
                                                    : m.suite_version)
       << ", " << m.threads << " sweep thread" << (m.threads == 1 ? "" : "s")
@@ -30,23 +32,21 @@ void EmitRunMeta(std::ostringstream& out,
   out << ".\n\n";
 }
 
-void EmitFigure(std::ostringstream& out, const LoadedFigure& figure) {
-  out << "## " << figure.id;
-  if (!figure.source.empty()) {
-    out << " (`" << figure.source.filename().string() << "`)";
-  }
-  out << "\n\n";
+void EmitFigure(std::ostringstream& out, const Figure& figure) {
+  out << "## " << figure.id << " (`BENCH_" << figure.Slug() << ".json`)\n\n";
   if (!figure.paper_claim.empty()) {
     out << "Paper claim: " << figure.paper_claim << "\n\n";
   }
-  if (!figure.curves.empty()) {
+  if (!figure.set.All().empty()) {
     out << "| Curve | Points | Median (s) | Min (s) | Max (s) |\n"
         << "|---|---|---|---|---|\n";
-    for (const LoadedCurve& curve : figure.curves) {
-      out << "| " << curve.name << " | " << curve.points.size() << " | "
-          << FormatDouble(curve.median, 3) << " | "
-          << FormatDouble(curve.min, 3) << " | "
-          << FormatDouble(curve.max, 3) << " |\n";
+    for (const Curve& curve : figure.set.All()) {
+      const std::vector<double> ys = curve.Ys();
+      const auto [min, max] = std::minmax_element(ys.begin(), ys.end());
+      out << "| " << curve.Name() << " | " << ys.size() << " | "
+          << FormatDouble(MedianOf(ys), 3) << " | "
+          << FormatDouble(ys.empty() ? 0.0 : *min, 3) << " | "
+          << FormatDouble(ys.empty() ? 0.0 : *max, 3) << " |\n";
     }
     out << "\n";
   }
@@ -54,13 +54,6 @@ void EmitFigure(std::ostringstream& out, const LoadedFigure& figure) {
     out << "Measured:\n";
     for (const Finding& finding : figure.findings) {
       out << "- " << finding.Render() << "\n";
-    }
-    out << "\n";
-  } else if (!figure.notes.empty()) {
-    // v1 documents carry free-text notes only.
-    out << "Notes:\n";
-    for (const std::string& note : figure.notes) {
-      out << "- " << note << "\n";
     }
     out << "\n";
   }
@@ -109,7 +102,7 @@ void EmitChecks(std::ostringstream& out,
 }  // namespace
 
 std::string SuiteSummaryMarkdown(
-    const std::vector<LoadedFigure>& figures,
+    const std::vector<Figure>& figures,
     const std::vector<ExpectationResult>& checks) {
   std::ostringstream out;
   out << "# AMD micro-benchmark suite — merged results\n\n"
@@ -117,7 +110,7 @@ std::string SuiteSummaryMarkdown(
       << (figures.size() == 1 ? "" : "s")
       << ". Regenerate with `amdmb_report <json-dir>`.\n\n";
   EmitRunMeta(out, figures);
-  for (const LoadedFigure& figure : figures) {
+  for (const Figure& figure : figures) {
     EmitFigure(out, figure);
   }
   EmitChecks(out, checks);

@@ -78,7 +78,7 @@ std::string_view ToString(ExpectationStatus status) {
 }
 
 ExpectationResult CheckExpectation(const Expectation& expectation,
-                                   const LoadedFigure& figure) {
+                                   const Figure& figure) {
   ExpectationResult result{expectation, ExpectationStatus::kMissing, ""};
   const Finding* finding = MatchFinding(figure.findings, expectation);
   if (finding == nullptr) {
@@ -117,11 +117,11 @@ ExpectationResult CheckExpectation(const Expectation& expectation,
 }
 
 std::vector<ExpectationResult> CheckExpectations(
-    const std::vector<LoadedFigure>& figures) {
+    const std::vector<Figure>& figures) {
   std::vector<ExpectationResult> results;
   for (const Expectation& e : PaperExpectations()) {
-    const LoadedFigure* match = nullptr;
-    for (const LoadedFigure& figure : figures) {
+    const Figure* match = nullptr;
+    for (const Figure& figure : figures) {
       if (figure.Slug() == e.figure_slug) {
         match = &figure;
         break;

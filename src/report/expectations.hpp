@@ -3,9 +3,10 @@
 // Each Expectation names one typed Finding the suite should produce
 // (figure slug + curve substring + finding label) and the numeric range
 // the paper's qualitative claims imply. The amdmb_report aggregator
-// checks a directory of BENCH_*.json results against this table, so
-// "does the reproduction still match the paper" is a data lookup, not a
-// human re-reading EXPERIMENTS.md. Ranges are deliberately wide and
+// checks a directory of BENCH_*.json results against this table, and
+// the golden test checks the quick documents it builds, so "does the
+// reproduction still match the paper" is a data lookup, not a human
+// re-reading EXPERIMENTS.md. Ranges are deliberately wide and
 // scale-invariant (crossovers, ratios, R^2) so they hold for both
 // AMDMB_QUICK=1 and full-domain runs.
 #pragma once
@@ -15,7 +16,7 @@
 #include <string_view>
 #include <vector>
 
-#include "report/load.hpp"
+#include "report/record.hpp"
 
 namespace amdmb::report {
 
@@ -44,7 +45,7 @@ enum class ExpectationStatus {
 
 std::string_view ToString(ExpectationStatus status);
 
-/// Outcome of checking one Expectation against one loaded figure.
+/// Outcome of checking one Expectation against one figure.
 struct ExpectationResult {
   Expectation expectation;
   ExpectationStatus status = ExpectationStatus::kMissing;
@@ -54,13 +55,13 @@ struct ExpectationResult {
 /// Checks one expectation against the figure it names. The figure must
 /// already be the right one (Slug() == expectation.figure_slug).
 ExpectationResult CheckExpectation(const Expectation& expectation,
-                                   const LoadedFigure& figure);
+                                   const Figure& figure);
 
 /// Checks every built-in expectation whose figure is present in
 /// `figures`. Expectations for figures absent from the set are skipped
 /// (a partial results directory is not a failure); expectations whose
 /// figure is present but whose finding is absent report kMissing.
 std::vector<ExpectationResult> CheckExpectations(
-    const std::vector<LoadedFigure>& figures);
+    const std::vector<Figure>& figures);
 
 }  // namespace amdmb::report

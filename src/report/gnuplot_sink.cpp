@@ -8,6 +8,7 @@
 
 #include "common/status.hpp"
 #include "report/json.hpp"
+#include "report/sink.hpp"
 
 namespace amdmb {
 

@@ -2,16 +2,14 @@
 //
 // The paper's plots are classic gnuplot line charts; given a SeriesSet
 // this module writes the `.dat` column file plus a ready-to-run `.gp`
-// script so `gnuplot fig07.gp` regenerates the figure as SVG. The bench
-// harness drives it through GnuplotSink when AMDMB_DUMP_DIR is set.
+// script so `gnuplot fig07.gp` regenerates the figure as SVG.
+// report::WriteFiles calls it when AMDMB_DUMP_DIR is set.
 #pragma once
 
 #include <filesystem>
 #include <string>
-#include <string_view>
 
-#include "report/series.hpp"
-#include "report/sink.hpp"
+#include "report/record.hpp"
 
 namespace amdmb {
 
@@ -35,27 +33,5 @@ std::string GnuplotScript(const SeriesSet& set, const std::string& dat_file,
 std::filesystem::path WriteFrontierGnuplot(
     const report::Frontier& frontier, const std::filesystem::path& directory,
     const std::string& stem);
-
-namespace report {
-
-class GnuplotSink : public FileSink {
- public:
-  using FileSink::FileSink;
-
-  std::string_view Label() const override { return "Gnuplot script"; }
-
-  void Write(const Figure& figure) override {
-    written_.clear();
-    if (!figure.set.All().empty()) {
-      written_.push_back(WriteGnuplot(figure.set, directory_, figure.Slug()));
-    }
-    if (figure.frontier.has_value()) {
-      written_.push_back(
-          WriteFrontierGnuplot(*figure.frontier, directory_, figure.Slug()));
-    }
-  }
-};
-
-}  // namespace report
 
 }  // namespace amdmb

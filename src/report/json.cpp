@@ -1,8 +1,10 @@
 #include "report/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/status.hpp"
 
@@ -135,8 +137,17 @@ class JsonParser {
   JsonValue ParseValue() {
     const char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        static_assert(JsonValue::kMaxDepth == 64, "Fail spells the bound out");
+        if (depth_ == JsonValue::kMaxDepth) {
+          Fail("nesting deeper than 64 levels");
+        }
+        ++depth_;
+        JsonValue value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': return ParseString();
       case 't':
       case 'f': return ParseBool();
@@ -277,10 +288,50 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Arrays and objects open around pos_.
 };
 
 JsonValue JsonValue::Parse(std::string_view text) {
   return JsonParser(text).ParseDocument();
+}
+
+namespace {
+
+/// The whole number `value` holds in [min, max] (both exact doubles);
+/// anything else, a non-number included, is a ConfigError naming `key`.
+double WholeNumber(const JsonValue& value, std::string_view key, double min,
+                   double max) {
+  const double d = value.type() == JsonValue::Type::kNumber
+                       ? value.AsNumber()
+                       : std::numeric_limits<double>::quiet_NaN();
+  if (!(d >= min && d <= max && std::floor(d) == d)) {
+    std::string message = "\"";
+    message += key;
+    message += "\" must be an integer from " + JsonNumber(min) + " to " +
+               JsonNumber(max);
+    throw ConfigError(message);
+  }
+  return d;
+}
+
+}  // namespace
+
+std::uint64_t AsU64(const JsonValue& value, std::string_view key,
+                    std::uint64_t max) {
+  return static_cast<std::uint64_t>(
+      WholeNumber(value, key, 0.0, static_cast<double>(max)));
+}
+
+std::uint64_t U64Or(const JsonValue& object, std::string_view key,
+                    std::uint64_t fallback, std::uint64_t max) {
+  const JsonValue* value = object.Find(key);
+  return value == nullptr ? fallback : AsU64(*value, key, max);
+}
+
+std::int64_t AsI64(const JsonValue& value, std::string_view key,
+                   std::int64_t min, std::int64_t max) {
+  return static_cast<std::int64_t>(WholeNumber(
+      value, key, static_cast<double>(min), static_cast<double>(max)));
 }
 
 }  // namespace amdmb::report

@@ -4,15 +4,17 @@
 // every figure dumps one JSON document with its provenance (schema
 // version + meta block), each curve's raw sweep points (x, simulated
 // seconds), per-curve summary statistics, and the typed findings and
-// degradations of the run. The bench binaries write
+// degradations of the run. report::WriteFiles writes
 // `BENCH_<figure>.json` when AMDMB_JSON_DIR is set; report/load.hpp
-// reads the documents back for the amdmb_report aggregator.
+// reads the documents back into Figure records for the amdmb_report
+// aggregator.
 #pragma once
 
 #include <filesystem>
 #include <string>
 #include <string_view>
 
+#include "report/record.hpp"
 #include "report/sink.hpp"
 
 namespace amdmb::report {
@@ -38,22 +40,5 @@ std::string BenchJson(const Figure& figure);
 /// and returns the file path. Throws ConfigError on I/O failure.
 std::filesystem::path WriteBenchJson(const Figure& figure,
                                      const std::filesystem::path& directory);
-
-class JsonSink : public FileSink {
- public:
-  using FileSink::FileSink;
-
-  std::string_view Label() const override { return "JSON results"; }
-
-  void Write(const Figure& figure) override {
-    written_.clear();
-    // Curve-less figures (Table I) still carry findings worth merging.
-    if (figure.set.All().empty() && figure.findings.empty() &&
-        figure.degradations.empty()) {
-      return;
-    }
-    written_.push_back(WriteBenchJson(figure, directory_));
-  }
-};
 
 }  // namespace amdmb::report

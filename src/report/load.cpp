@@ -2,16 +2,18 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/status.hpp"
 #include "prof/profile_json.hpp"
 #include "report/json.hpp"
-#include "report/json_sink.hpp"
 
 namespace amdmb::report {
 
 namespace {
+
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
 
 std::vector<std::string> StringList(const JsonValue* value) {
   std::vector<std::string> out;
@@ -27,12 +29,12 @@ RunMeta MetaFrom(const JsonValue& doc) {
   const JsonValue* m = doc.Find("meta");
   if (m == nullptr) return meta;
   meta.suite_version = m->StringOr("suite_version", "unknown");
-  meta.threads = static_cast<unsigned>(m->NumberOr("threads", 1.0));
+  meta.threads =
+      static_cast<unsigned>(U64Or(*m, "threads", 1, kUnsignedMax));
   meta.quick = m->BoolOr("quick", false);
   meta.faults = m->StringOr("faults", "");
   meta.retry = m->StringOr("retry", "");
-  meta.watchdog_cycles =
-      static_cast<std::uint64_t>(m->NumberOr("watchdog_cycles", 0.0));
+  meta.watchdog_cycles = U64Or(*m, "watchdog_cycles", 0);
   meta.adaptive = m->BoolOr("adaptive", false);
   meta.archs = StringList(m->Find("archs"));
   meta.modes = StringList(m->Find("modes"));
@@ -70,7 +72,8 @@ std::vector<Degradation> DegradationsFrom(const JsonValue& doc) {
     d.curve = item.StringOr("curve", "");
     d.point = item.StringOr("point", "");
     d.status = item.StringOr("status", "");
-    d.attempts = static_cast<unsigned>(item.NumberOr("attempts", 1.0));
+    d.attempts =
+        static_cast<unsigned>(U64Or(item, "attempts", 1, kUnsignedMax));
     d.error = item.StringOr("error", "");
     out.push_back(std::move(d));
   }
@@ -91,8 +94,7 @@ std::vector<ProfileEntry> ProfilesFrom(const JsonValue& doc) {
     p.alu_score = item.NumberOr("alu_score", 0.0);
     p.fetch_score = item.NumberOr("fetch_score", 0.0);
     p.memory_score = item.NumberOr("memory_score", 0.0);
-    p.dropped_events =
-        static_cast<std::uint64_t>(item.NumberOr("dropped_events", 0.0));
+    p.dropped_events = U64Or(item, "dropped_events", 0);
     if (const JsonValue* counters = item.Find("counters")) {
       p.counters = prof::CounterSetFromJson(*counters);
     }
@@ -119,81 +121,60 @@ std::optional<Frontier> FrontierFrom(const JsonValue& doc) {
       frontier.measured.push_back(v.AsBool());
     }
   }
-  frontier.points_measured =
-      static_cast<std::uint64_t>(f->NumberOr("points_measured", 0.0));
-  frontier.points_dense =
-      static_cast<std::uint64_t>(f->NumberOr("points_dense", 0.0));
+  frontier.points_measured = U64Or(*f, "points_measured", 0);
+  frontier.points_dense = U64Or(*f, "points_dense", 0);
   return frontier;
 }
 
-std::vector<LoadedCurve> CurvesFrom(const JsonValue& doc) {
-  std::vector<LoadedCurve> out;
+/// Adds the document's curves to `set`. Their summary statistics are
+/// derived data; SuiteSummaryMarkdown recomputes them from the points.
+void CurvesInto(const JsonValue& doc, SeriesSet& set) {
   const JsonValue* list = doc.Find("curves");
-  if (list == nullptr) return out;
+  if (list == nullptr) return;
   for (const JsonValue& item : list->AsArray()) {
-    LoadedCurve curve;
-    curve.name = item.StringOr("name", "");
+    Curve& curve = set.Get(item.StringOr("name", ""));
     if (const JsonValue* points = item.Find("points")) {
       for (const JsonValue& p : points->AsArray()) {
-        curve.points.push_back(
-            {p.NumberOr("x", 0.0), p.NumberOr("sim_seconds", 0.0)});
+        curve.Add(p.NumberOr("x", 0.0), p.NumberOr("sim_seconds", 0.0));
       }
     }
-    curve.median = item.NumberOr("sim_seconds_median", 0.0);
-    curve.min = item.NumberOr("sim_seconds_min", 0.0);
-    curve.max = item.NumberOr("sim_seconds_max", 0.0);
-    out.push_back(std::move(curve));
   }
-  return out;
+}
+
+std::string Describe(const JsonValue* version) {
+  if (version == nullptr) return "missing";
+  if (version->type() != JsonValue::Type::kNumber) return "not a number";
+  return JsonNumber(version->AsNumber());
 }
 
 }  // namespace
 
-std::string LoadedFigure::Slug() const { return FigureSlug(id); }
-
-LoadedFigure LoadFigureJson(std::string_view text,
-                            std::filesystem::path source) {
+Figure LoadFigureJson(std::string_view text) {
   const JsonValue doc = JsonValue::Parse(text);
-  const JsonValue* figure_id = doc.Find("figure");
-  Require(figure_id != nullptr,
-          "LoadFigureJson: missing \"figure\" key" +
-              (source.empty() ? std::string()
-                              : " in " + source.string()));
+  const JsonValue* id = doc.Find("figure");
+  Require(id != nullptr, "LoadFigureJson: missing \"figure\" key");
+  // A v1 document has no typed findings for the checks to read, and a
+  // newer one may rename keys this reader would silently default, so
+  // refusing is the only way to keep "loaded" meaning "understood".
+  const JsonValue* version = doc.Find("schema_version");
+  Require(version != nullptr &&
+              version->type() == JsonValue::Type::kNumber &&
+              version->AsNumber() == kSchemaVersion,
+          "LoadFigureJson: schema_version is " + Describe(version) +
+              "; only schema " + std::to_string(kSchemaVersion) + " loads");
 
-  // schema_version is optional (pre-v2 writers omitted it, meaning 1),
-  // but when present it must be a number we know how to read. A v3 doc
-  // may rename fields we silently default, so refusing is the only way
-  // to keep "loaded" meaning "understood".
-  int schema_version = 1;
-  if (const JsonValue* v = doc.Find("schema_version")) {
-    const std::string where =
-        source.empty() ? std::string() : " in " + source.string();
-    Require(v->type() == JsonValue::Type::kNumber,
-            "LoadFigureJson: \"schema_version\" is not a number" + where);
-    schema_version = static_cast<int>(v->AsNumber());
-    Require(schema_version >= 1 && schema_version <= 2,
-            "LoadFigureJson: unsupported schema_version " +
-                std::to_string(schema_version) + " (supported: 1..2)" +
-                where);
-  }
-
-  LoadedFigure figure;
-  figure.source = std::move(source);
-  figure.id = figure_id->AsString();
-  figure.title = doc.StringOr("title", "");
-  figure.paper_claim = doc.StringOr("paper_claim", "");
-  figure.schema_version = schema_version;
+  Figure figure(id->AsString(), doc.StringOr("title", ""), "", "",
+                doc.StringOr("paper_claim", ""));
   figure.meta = MetaFrom(doc);
-  figure.notes = StringList(doc.Find("notes"));
   figure.findings = FindingsFrom(doc);
   figure.degradations = DegradationsFrom(doc);
   figure.profiles = ProfilesFrom(doc);
   figure.frontier = FrontierFrom(doc);
-  figure.curves = CurvesFrom(doc);
+  CurvesInto(doc, figure.set);
   return figure;
 }
 
-std::vector<LoadedFigure> LoadFigureDirectory(
+std::vector<Figure> LoadFigureDirectory(
     const std::filesystem::path& directory, std::string_view slug) {
   Require(std::filesystem::is_directory(directory),
           "LoadFigureDirectory: '" + directory.string() +
@@ -216,7 +197,7 @@ std::vector<LoadedFigure> LoadFigureDirectory(
   }
   std::sort(files.begin(), files.end());
 
-  std::vector<LoadedFigure> figures;
+  std::vector<Figure> figures;
   figures.reserve(files.size());
   for (const std::filesystem::path& file : files) {
     std::ifstream in(file);
@@ -224,7 +205,7 @@ std::vector<LoadedFigure> LoadFigureDirectory(
     std::ostringstream text;
     text << in.rdbuf();
     try {
-      figures.push_back(LoadFigureJson(text.str(), file));
+      figures.push_back(LoadFigureJson(text.str()));
     } catch (const ConfigError& e) {
       throw ConfigError(file.string() + ": " + e.what());
     }

@@ -1,15 +1,16 @@
-// Reading BENCH_<figure>.json documents back into typed records.
+// Reading BENCH_<figure>.json documents back into Figure records.
 //
 // The inverse of report/json_sink.hpp, used by the amdmb_report
 // aggregator: parse one document (or every BENCH_*.json in a results
-// directory) into LoadedFigure records so cross-figure summaries and
-// paper-expectation checks work on typed data — no regex scraping.
-// Understands both schema v1 (pre-report-layer: no schema_version /
-// meta / findings keys) and v2 documents.
+// directory) into the same report::Figure the writer took, so
+// cross-figure summaries and paper-expectation checks work on typed
+// data — no regex scraping. Only schema v2 loads: its one v1 key
+// without a typed home, "notes", is rendered from the findings, so the
+// record carries it already. BenchJson(LoadFigureJson(BenchJson(f)))
+// equals BenchJson(f).
 #pragma once
 
 #include <filesystem>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -17,49 +18,20 @@
 
 namespace amdmb::report {
 
-/// One curve as stored in the document: raw points plus the summary
-/// statistics the writer derived from them.
-struct LoadedCurve {
-  std::string name;
-  std::vector<Point> points;
-  double median = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// One parsed BENCH_*.json document.
-struct LoadedFigure {
-  std::filesystem::path source;  ///< File it came from ("" when from text).
-  std::string id;
-  std::string title;
-  std::string paper_claim;
-  int schema_version = 1;  ///< 1 when the document predates the key.
-  RunMeta meta;            ///< Default-constructed for v1 documents.
-  std::vector<std::string> notes;
-  std::vector<Finding> findings;
-  std::vector<Degradation> degradations;
-  /// The additive "profile" block; empty for unprofiled documents.
-  std::vector<ProfileEntry> profiles;
-  /// The additive "frontier" block; absent for 1D documents.
-  std::optional<Frontier> frontier;
-  std::vector<LoadedCurve> curves;
-
-  /// Filesystem-safe stem derived from the id; see FigureSlug.
-  std::string Slug() const;
-};
-
-/// Parses one document. Throws ConfigError on malformed JSON or a
-/// document missing the required "figure" key. Findings with a kind
-/// this reader does not know are skipped (forward compatibility).
-LoadedFigure LoadFigureJson(std::string_view text,
-                            std::filesystem::path source = {});
+/// Parses one document: its curves land in `figure.set` (the x and y
+/// axis labels, which the document does not carry, stay empty). Throws
+/// ConfigError on malformed JSON, a document missing the "figure" key,
+/// a "schema_version" other than 2, or an integer field out of range.
+/// Findings with a kind this reader does not know are skipped (forward
+/// compatibility).
+Figure LoadFigureJson(std::string_view text);
 
 /// Loads every BENCH_*.json in `directory`, sorted by filename for
-/// deterministic aggregation order. When `slug` is non-empty only the
-/// figure whose Slug() matches is loaded (the amdmb_report --figure
-/// filter). Throws ConfigError when the directory does not exist or any
-/// document fails to parse.
-std::vector<LoadedFigure> LoadFigureDirectory(
+/// deterministic aggregation order. When `slug` is non-empty only
+/// `BENCH_<slug>.json` is loaded (the amdmb_report --figure filter).
+/// Throws ConfigError, naming the file, when the directory does not
+/// exist or any document fails to load.
+std::vector<Figure> LoadFigureDirectory(
     const std::filesystem::path& directory, std::string_view slug = {});
 
 }  // namespace amdmb::report

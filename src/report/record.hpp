@@ -1,12 +1,12 @@
-// Typed record model for the measurement → record → sink pipeline.
+// Typed record model for the measurement → record → output pipeline.
 //
 // Every figure reproduction produces one Figure record: run provenance
 // (RunMeta), the measured curves (the re-homed Series/SeriesSet model),
 // quantitative Findings (crossovers, slopes, plateaus, ratios — the
 // typed replacement for the old free-text note lines), and Degradations
-// (one typed record per retried or skipped point). Sinks
-// (report/sink.hpp) render a Figure as text, JSON, CSV, or gnuplot;
-// the amdmb_report tool loads the JSON documents back (report/load.hpp)
+// (one typed record per retried or skipped point). report/output.hpp
+// renders a Figure as text, JSON, CSV, or gnuplot; the amdmb_report
+// tool loads the JSON documents back into Figures (report/load.hpp)
 // and aggregates them across figures, so no consumer ever has to
 // regex-scrape a note string again.
 #pragma once
@@ -66,7 +66,7 @@ struct Finding {
   std::string unit;    ///< "ratio", "s", "s/input", "x", "" (unitless).
   std::string detail;  ///< Optional human clarification.
 
-  /// Human-readable one-liner for the text sink / notes array, e.g.
+  /// Human-readable one-liner for the text report / notes array, e.g.
   /// "4870 Pixel Float: alu_bound_crossover = 5.25 ratio".
   std::string Render() const;
 
@@ -118,7 +118,7 @@ struct ProfileEntry {
   prof::CounterSet counters;
   std::uint64_t dropped_events = 0;  ///< Trace events past AMDMB_TRACE_CAP.
 
-  /// One line for the text sink, e.g.
+  /// One line for the text report, e.g.
   /// "4870 Pixel Float/alufetch_r2.00: ALU (agrees with heuristic)".
   std::string Render() const;
 
@@ -182,7 +182,7 @@ struct Figure {
   std::vector<Finding> findings;
   std::vector<Degradation> degradations;
   /// Per-point profiles, present only when the run was profiled
-  /// (AMDMB_PROF); sinks emit the additive "profile" block from these.
+  /// (AMDMB_PROF); BenchJson emits the additive "profile" block from these.
   std::vector<ProfileEntry> profiles;
   /// 2D classification map, present only for frontier-map figures.
   std::optional<Frontier> frontier;

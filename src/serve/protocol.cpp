@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <limits>
 #include <sstream>
 
 #include "common/status.hpp"
@@ -15,6 +16,17 @@ std::string Quoted(std::string_view text) {
   out += report::JsonEscape(text);
   out += '"';
   return out;
+}
+
+/// The optional submit/characterize "priority": a whole number in the
+/// range of int.
+int Priority(const report::JsonValue& doc) {
+  const report::JsonValue* priority = doc.Find("priority");
+  return priority == nullptr
+             ? 0
+             : static_cast<int>(report::AsI64(
+                   *priority, "priority", std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()));
 }
 
 }  // namespace
@@ -40,11 +52,7 @@ Request ParseRequest(std::string_view line) {
     }
     request.quick = doc.BoolOr("quick", false);
     request.adaptive = doc.BoolOr("adaptive", false);
-    const double priority = doc.NumberOr("priority", 0.0);
-    if (priority != static_cast<int>(priority)) {
-      throw ConfigError("request: \"priority\" must be an integer");
-    }
-    request.priority = static_cast<int>(priority);
+    request.priority = Priority(doc);
   } else if (name == "characterize") {
     request.op = Request::Op::kCharacterize;
     const report::JsonValue* il = doc.Find("il");
@@ -57,35 +65,22 @@ Request ParseRequest(std::string_view line) {
     }
     request.quick = doc.BoolOr("quick", false);
     request.adaptive = doc.BoolOr("adaptive", false);
-    const double priority = doc.NumberOr("priority", 0.0);
-    if (priority != static_cast<int>(priority)) {
-      throw ConfigError("request: \"priority\" must be an integer");
-    }
-    request.priority = static_cast<int>(priority);
+    request.priority = Priority(doc);
   } else if (name == "stats") {
     request.op = Request::Op::kStats;
   } else if (name == "drain") {
     request.op = Request::Op::kDrain;
   } else if (name == "ping") {
     request.op = Request::Op::kPing;
-    const double seq = doc.NumberOr("seq", 0.0);
-    if (seq < 0.0 || seq != static_cast<std::uint64_t>(seq)) {
-      throw ConfigError("request: ping \"seq\" must be a non-negative "
-                        "integer");
-    }
-    request.seq = static_cast<std::uint64_t>(seq);
+    request.seq = report::U64Or(doc, "seq", 0);
   } else if (name == "kill_worker") {
     request.op = Request::Op::kKillWorker;
     const report::JsonValue* worker = doc.Find("worker");
     if (worker == nullptr) {
       throw ConfigError("request: kill_worker needs a \"worker\" index");
     }
-    const double index = worker->AsNumber();
-    if (index < 0.0 || index != static_cast<unsigned>(index)) {
-      throw ConfigError("request: kill_worker \"worker\" must be a "
-                        "non-negative integer");
-    }
-    request.worker = static_cast<unsigned>(index);
+    request.worker = static_cast<unsigned>(report::AsU64(
+        *worker, "worker", std::numeric_limits<unsigned>::max()));
   } else {
     throw ConfigError("request: unknown op \"" + name + "\"");
   }

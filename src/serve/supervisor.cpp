@@ -260,8 +260,8 @@ void Supervisor::ForwardRequest(const std::shared_ptr<Session>& session,
       }
       switch (event.type) {
         case EventType::kAccepted:
-          worker_id =
-              static_cast<std::uint64_t>(event.body.NumberOr("id", 0.0));
+          worker_id = static_cast<std::uint64_t>(
+              event.body.NumberOr("request", 0.0));
           // After a failover the retry worker re-accepts; the client
           // already saw one accepted event, so suppress the duplicate.
           if (!forwarded_accepted) {

@@ -99,7 +99,7 @@ using CurveCallback = std::function<void(
     std::size_t, std::size_t, const std::string&, const report::Figure&)>;
 
 /// Runs every curve of `def` in order and returns the finalized figure
-/// record — the exact record the bench binary's sinks print. Once
+/// record — the exact record the bench binary prints. Once
 /// opts.cancel has fired no further curve starts, so an interrupted
 /// build keeps exactly the curves that had started. `figure.meta.quick`
 /// reflects opts.quick (the request scale), not the process

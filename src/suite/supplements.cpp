@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -327,6 +328,11 @@ FigureDef MakeRowLocalityAblation() {
   return def;
 }
 
+/// One measured frontier node, as figures::Note reads a sweep point.
+struct Node {
+  Measurement m;
+};
+
 // Figs. 7 and 16 crossed: the register-ladder kernel's bottleneck over
 // the ALU:Fetch ratio x ladder-step plane on the 4870, refined by
 // quadrant (adapt::RefineGrid). The lowest ratio leaves every ladder
@@ -361,6 +367,9 @@ FigureDef MakeFrontier() {
                                   static_cast<double>(ix) /
                                   static_cast<double>(nx - 1);
          };
+         // Each measured node's Measurement, grid-indexed (y outermost).
+         // Waves touch distinct nodes, so the slot writes never race.
+         std::vector<std::optional<Measurement>> slots(nx * ny);
          adapt::FrontierResult refined = adapt::RefineGrid(
              nx, ny, ratio_of,
              [](std::size_t iy) { return static_cast<double>(iy); },
@@ -368,7 +377,7 @@ FigureDef MakeFrontier() {
                RegisterUsageConfig node = config;
                node.alu_fetch_ratio = ratio_of(ix);
                // The point name keys faults and degradation text.
-               const Measurement m = runner.Measure(
+               Measurement m = runner.Measure(
                    RegisterUsageKernel(node, ShaderMode::kPixel,
                                        DataType::kFloat,
                                        static_cast<unsigned>(iy)),
@@ -376,7 +385,9 @@ FigureDef MakeFrontier() {
                    {"frontier_x" + std::to_string(ix) + "_y" +
                         std::to_string(iy),
                     attempt});
-               return std::string(sim::ToString(m.stats.bottleneck));
+               std::string label(sim::ToString(m.stats.bottleneck));
+               slots[iy * nx + ix] = std::move(m);
+               return label;
              },
              opts.adaptive, config.executor, config.retry, config.cancel);
          refined.frontier.x_label = "ALU:Fetch Ratio";
@@ -406,10 +417,12 @@ FigureDef MakeFrontier() {
               "points",
               "of " + std::to_string(refined.frontier.points_dense) +
                   " dense nodes"});
-         for (report::Degradation& d :
-              report::DegradationsFrom(refined.report, curve)) {
-           fig.degradations.push_back(std::move(d));
+         SweepResult<Node> nodes;
+         nodes.report = std::move(refined.report);
+         for (std::optional<Measurement>& slot : slots) {
+           if (slot) nodes.points.push_back({std::move(*slot)});
          }
+         Note(fig, opts, curve, nodes);
          fig.frontier = std::move(refined.frontier);
        }});
   return def;

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "report/gnuplot_sink.hpp"
+#include "report/output.hpp"
 
 namespace amdmb {
 namespace {
@@ -94,9 +96,11 @@ TEST(GnuplotTest, SinkEmitsFrontierAlongsideTheLinePlot) {
   report::Figure figure("Fig. 99 — test", "t", "x", "y", "claim");
   figure.set.Get("a").Add(1, 2);
   figure.frontier = SampleFrontier();
-  report::GnuplotSink sink(dir);
-  sink.Write(figure);
-  ASSERT_EQ(sink.Written().size(), 2u);
+  std::ostringstream log;
+  report::WriteFiles(figure, dir, std::nullopt, log);
+  EXPECT_EQ(log.str(), "Gnuplot script: " + (dir / "fig_99.gp").string() +
+                           "\nGnuplot script: " +
+                           (dir / "fig_99_frontier.gp").string() + "\n");
   EXPECT_TRUE(std::filesystem::exists(dir / "fig_99.gp"));
   EXPECT_TRUE(std::filesystem::exists(dir / "fig_99_frontier.gp"));
   std::filesystem::remove_all(dir);

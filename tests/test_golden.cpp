@@ -20,6 +20,10 @@
 // digest, and its findings. To accept an intended change, paste the
 // printed "key": "digest" line into tests/golden/digests.json; there is
 // deliberately no update flag.
+//
+// Each case also reads its document back (report::LoadFigureJson must
+// write it again byte for byte), and each dense registry or supplement
+// case must pass every paper expectation for its slug.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -38,8 +42,10 @@
 #include "il/printer.hpp"
 #include "kerncap/characterize.hpp"
 #include "kerncap/intake.hpp"
+#include "report/expectations.hpp"
 #include "report/json.hpp"
 #include "report/json_sink.hpp"
+#include "report/load.hpp"
 #include "suite/figures.hpp"
 
 namespace amdmb {
@@ -205,6 +211,36 @@ TEST_P(GoldenTest, DigestMatches) {
   std::string slug;
   const report::Figure figure = BuildCase(c, slug);
   ExpectPinned(c.table, c.key, slug, figure);
+
+  const std::string json = report::BenchJson(figure);
+  EXPECT_EQ(report::BenchJson(report::LoadFigureJson(json)), json)
+      << slug << " does not read back whole";
+
+  if (IsKerncap(c) || IsAdaptive(c)) return;
+  for (const report::Expectation& e : report::PaperExpectations()) {
+    if (e.figure_slug != figure.Slug()) continue;
+    const report::ExpectationResult check = report::CheckExpectation(e, figure);
+    EXPECT_EQ(check.status, report::ExpectationStatus::kPass)
+        << e.figure_slug << " " << e.curve_substr << " " << e.label << ": "
+        << check.detail;
+  }
+}
+
+// Every paper expectation names a dense registry or supplement document,
+// so the cases above check all of them.
+TEST(GoldenFile, EveryExpectationNamesAGoldenDocument) {
+  std::vector<std::string> slugs;
+  for (const auto* list : {&suite::figures::Registry(),
+                           &suite::figures::Supplements()}) {
+    for (const suite::figures::FigureDef& def : *list) {
+      slugs.push_back(report::FigureSlug(def.id));
+    }
+  }
+  for (const report::Expectation& e : report::PaperExpectations()) {
+    EXPECT_NE(std::find(slugs.begin(), slugs.end(), e.figure_slug),
+              slugs.end())
+        << e.figure_slug;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

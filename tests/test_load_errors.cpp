@@ -1,8 +1,8 @@
 // Failure-path tests for report::LoadFigureJson / LoadFigureDirectory:
-// truncated documents, non-JSON bytes, unsupported schema versions, and
-// mixed-version directories must produce typed ConfigErrors (or load
-// cleanly where both versions are supported) — never a crash or a
-// silently wrong record.
+// truncated documents, non-JSON bytes, any schema version but 2 (v1
+// included), out-of-range integers and over-deep nesting must produce
+// typed ConfigErrors that name the file — never a crash or a silently
+// wrong record.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -30,7 +30,7 @@ const char kValidV2Doc[] = R"({
 
 std::string ErrorOf(std::string_view text) {
   try {
-    LoadFigureJson(text, {});
+    LoadFigureJson(text);
   } catch (const ConfigError& e) {
     return e.what();
   }
@@ -43,18 +43,18 @@ TEST(LoadErrors, TruncatedDocumentIsATypedError) {
   // must throw ConfigError, not crash or return a partial record.
   for (const std::size_t cut : {1ul, 20ul, valid.size() / 2,
                                 valid.size() - 2}) {
-    EXPECT_THROW(LoadFigureJson(valid.substr(0, cut), {}), ConfigError)
+    EXPECT_THROW(LoadFigureJson(valid.substr(0, cut)), ConfigError)
         << "cut at " << cut;
   }
 }
 
 TEST(LoadErrors, NonJsonBytesAreATypedError) {
-  EXPECT_THROW(LoadFigureJson("not json at all", {}), ConfigError);
-  EXPECT_THROW(LoadFigureJson("\x00\x01\x02\xff", {}), ConfigError);
-  EXPECT_THROW(LoadFigureJson("", {}), ConfigError);
+  EXPECT_THROW(LoadFigureJson("not json at all"), ConfigError);
+  EXPECT_THROW(LoadFigureJson("\x00\x01\x02\xff"), ConfigError);
+  EXPECT_THROW(LoadFigureJson(""), ConfigError);
   // Valid JSON of the wrong shape: no "figure" key.
   EXPECT_NE(ErrorOf(R"({"title": "x"})").find("figure"), std::string::npos);
-  EXPECT_THROW(LoadFigureJson("[1, 2, 3]", {}), ConfigError);
+  EXPECT_THROW(LoadFigureJson("[1, 2, 3]"), ConfigError);
 }
 
 TEST(LoadErrors, UnsupportedSchemaVersionIsATypedError) {
@@ -63,10 +63,10 @@ TEST(LoadErrors, UnsupportedSchemaVersionIsATypedError) {
   EXPECT_NE(err.find("schema_version"), std::string::npos) << err;
   EXPECT_NE(err.find("3"), std::string::npos) << err;
   EXPECT_THROW(
-      LoadFigureJson(R"({"figure": "F", "schema_version": 0})", {}),
+      LoadFigureJson(R"({"figure": "F", "schema_version": 0})"),
       ConfigError);
   EXPECT_THROW(
-      LoadFigureJson(R"({"figure": "F", "schema_version": -1})", {}),
+      LoadFigureJson(R"({"figure": "F", "schema_version": -1})"),
       ConfigError);
 }
 
@@ -75,18 +75,72 @@ TEST(LoadErrors, NonNumericSchemaVersionIsATypedError) {
       ErrorOf(R"({"figure": "Fig. 7 — X", "schema_version": "two"})");
   EXPECT_NE(err.find("schema_version"), std::string::npos) << err;
   EXPECT_THROW(
-      LoadFigureJson(R"({"figure": "F", "schema_version": null})", {}),
+      LoadFigureJson(R"({"figure": "F", "schema_version": null})"),
       ConfigError);
 }
 
 TEST(LoadErrors, SupportedVersionsLoad) {
-  // Absent = 1 (pre-versioning writers); explicit 1 and 2 both load.
-  EXPECT_EQ(LoadFigureJson(R"({"figure": "Fig. 1 — A"})", {}).schema_version,
-            1);
-  EXPECT_EQ(LoadFigureJson(R"({"figure": "F", "schema_version": 1})", {})
-                .schema_version,
-            1);
-  EXPECT_EQ(LoadFigureJson(kValidV2Doc, {}).schema_version, 2);
+  EXPECT_EQ(LoadFigureJson(kValidV2Doc).set.All().size(), 1u);
+}
+
+TEST(LoadErrors, V1DocumentsAreATypedError) {
+  // Absent (pre-versioning writers) and explicit 1 are both schema v1.
+  EXPECT_NE(ErrorOf(R"({"figure": "Fig. 1 — A"})")
+                .find("schema_version is missing"),
+            std::string::npos);
+  EXPECT_NE(ErrorOf(R"({"figure": "F", "schema_version": 1})")
+                .find("schema_version is 1"),
+            std::string::npos);
+}
+
+// Every integer field is checked before its cast: negative, fractional,
+// huge or non-numeric values are a ConfigError naming the key.
+TEST(LoadErrors, OutOfRangeIntegersAreATypedError) {
+  const std::string valid = kValidV2Doc;
+  const auto rejects = [&](const std::string& text, const std::string& key) {
+    const std::string err = ErrorOf(text);
+    EXPECT_NE(err.find("\"" + key + "\""), std::string::npos)
+        << key << ": " << err;
+  };
+  const auto with_meta = [&](const std::string& field) {
+    std::string text = valid;
+    const std::string from = "\"meta\": {";
+    text.replace(text.find(from), from.size(), from + field + ", ");
+    return text;
+  };
+  const auto with_key = [&](const std::string& block) {
+    std::string text = valid;
+    const std::string from = "\"curves\": [";
+    text.replace(text.find(from), 0, block + ",\n  ");
+    return text;
+  };
+  for (const char* value : {"-1", "1.5", "1e30", "\"8\""}) {
+    const std::string v = value;
+    rejects(with_meta("\"watchdog_cycles\": " + v), "watchdog_cycles");
+    rejects(with_key(R"("degradations": [{"curve": "c", "attempts": )" + v +
+                     "}]"),
+            "attempts");
+    rejects(with_key(R"("profile": [{"curve": "c", "dropped_events": )" + v +
+                     "}]"),
+            "dropped_events");
+    rejects(with_key(R"("frontier": {"points_measured": )" + v + "}"),
+            "points_measured");
+    rejects(with_key(R"("frontier": {"points_dense": )" + v + "}"),
+            "points_dense");
+  }
+  // meta.threads is an unsigned: 1e10 is out of its range too.
+  rejects(with_meta("\"threads\": 1e10"), "threads");
+  rejects(with_meta("\"threads\": -2"), "threads");
+  rejects(with_key(R"("degradations": [{"attempts": 1e10}])"), "attempts");
+}
+
+TEST(LoadErrors, OverDeepNestingIsATypedError) {
+  std::string text = kValidV2Doc;
+  const std::string from = "\"curves\": [";
+  text.replace(text.find(from), 0,
+               "\"deep\": " + std::string(70, '[') + std::string(70, ']') +
+                   ",\n  ");
+  EXPECT_NE(ErrorOf(text).find("nesting deeper than 64"), std::string::npos);
 }
 
 class LoadDirectoryTest : public ::testing::Test {
@@ -110,14 +164,21 @@ class LoadDirectoryTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(LoadDirectoryTest, MixedV1AndV2DocumentsLoadTogether) {
+TEST_F(LoadDirectoryTest, V1DocumentNamesItsFileAndSchemaVersion) {
   WriteDoc("BENCH_fig_1.json", R"({"figure": "Fig. 1 — Legacy"})");
   WriteDoc("BENCH_fig_7.json", kValidV2Doc);
-  const auto figures = LoadFigureDirectory(dir_, "");
-  ASSERT_EQ(figures.size(), 2u);
-  EXPECT_EQ(figures[0].schema_version, 1);
-  EXPECT_EQ(figures[1].schema_version, 2);
-  EXPECT_EQ(figures[1].curves.size(), 1u);
+  try {
+    LoadFigureDirectory(dir_, "");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("BENCH_fig_1.json"), std::string::npos) << what;
+    EXPECT_NE(what.find("schema_version"), std::string::npos) << what;
+  }
+  // The v2 document alone loads.
+  const auto figures = LoadFigureDirectory(dir_, "fig_7");
+  ASSERT_EQ(figures.size(), 1u);
+  EXPECT_EQ(figures[0].set.All().size(), 1u);
 }
 
 TEST_F(LoadDirectoryTest, OneBadDocumentNamesItsFile) {

@@ -466,6 +466,9 @@ TEST(ProfileJsonTest, OutOfRangeCountsAreConfigErrors) {
 /// document as it is.
 void ExpectOneCallPerProfileEntry(const std::string& slug) {
   const suite::figures::FigureDef* def = suite::figures::Find(slug);
+  if (def == nullptr) {
+    def = suite::figures::Find(slug, suite::figures::Supplements());
+  }
   ASSERT_NE(def, nullptr);
   for (const unsigned width : {1u, 4u}) {
     SCOPED_TRACE(slug + " at width " + std::to_string(width));
@@ -494,6 +497,27 @@ void ExpectOneCallPerProfileEntry(const std::string& slug) {
   }
 }
 
+// The frontier records its nodes through figures::Note like every
+// sweep, so a profiled build carries one entry per node, in grid order.
+TEST(ProfileCallbackTest, FrontierSeesEveryProfileEntry) {
+  ExpectOneCallPerProfileEntry("frontier_alu_fetch_x_gpr");
+  suite::figures::RunOptions opts;
+  opts.quick = true;
+  opts.on_profile = [](const std::string&, const Profile&) {};
+  const report::Figure figure = suite::figures::Build(
+      *suite::figures::Find("frontier_alu_fetch_x_gpr",
+                            suite::figures::Supplements()),
+      opts);
+  ASSERT_TRUE(figure.frontier.has_value());
+  const std::size_t nx = figure.frontier->xs.size();
+  ASSERT_EQ(figure.profiles.size(), nx * figure.frontier->ys.size());
+  for (std::size_t i = 0; i < figure.profiles.size(); ++i) {
+    EXPECT_EQ(figure.profiles[i].point,
+              "frontier_x" + std::to_string(i % nx) + "_y" +
+                  std::to_string(i / nx));
+  }
+}
+
 TEST(ProfileCallbackTest, Fig8SeesEveryProfileEntry) {
   ExpectOneCallPerProfileEntry("fig_8");
 }
@@ -517,7 +541,9 @@ TEST(ProfileReportTest, BenchJsonCarriesProfileBlock) {
       "4870 Pixel Float", *m.profile,
       sim::ToString(m.stats.bottleneck)));
   const std::string json = report::BenchJson(figure);
-  const report::LoadedFigure loaded = report::LoadFigureJson(json);
+  const report::Figure loaded = report::LoadFigureJson(json);
+  // The profile block reads back whole: written again, byte for byte.
+  EXPECT_EQ(report::BenchJson(loaded), json);
   ASSERT_EQ(loaded.profiles.size(), 1u);
   const report::ProfileEntry& entry = loaded.profiles[0];
   EXPECT_EQ(entry.curve, "4870 Pixel Float");

@@ -1,21 +1,21 @@
 // Tests for the report layer: typed records, JSON round-trips through
-// the amdmb_report loader, the CSV sink golden file, paper-expectation
-// checks, and the cross-figure markdown aggregator.
+// the amdmb_report loader, the CSV golden file, the text report,
+// paper-expectation checks, and the cross-figure markdown aggregator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/status.hpp"
 #include "report/aggregate.hpp"
-#include "report/csv_sink.hpp"
 #include "report/expectations.hpp"
 #include "report/json.hpp"
 #include "report/json_sink.hpp"
 #include "report/load.hpp"
+#include "report/output.hpp"
 #include "report/record.hpp"
-#include "report/text_sink.hpp"
 
 namespace amdmb {
 namespace {
@@ -85,11 +85,12 @@ TEST(DegradationTest, RendersLegacyFailureLineFormat) {
 
 TEST(ReportRoundTripTest, JsonPreservesFindingsDegradationsAndMeta) {
   const Figure figure = SampleFigure();
-  const LoadedFigure loaded = LoadFigureJson(BenchJson(figure));
+  const std::string json = BenchJson(figure);
+  const Figure loaded = LoadFigureJson(json);
 
   EXPECT_EQ(loaded.id, figure.id);
   EXPECT_EQ(loaded.paper_claim, figure.paper_claim);
-  EXPECT_EQ(loaded.schema_version, kSchemaVersion);
+  EXPECT_EQ(loaded.set.Title(), figure.set.Title());
   EXPECT_EQ(loaded.findings, figure.findings);
   EXPECT_EQ(loaded.degradations, figure.degradations);
   EXPECT_EQ(loaded.meta.suite_version, "v1.2.3-4-gabc");
@@ -101,17 +102,16 @@ TEST(ReportRoundTripTest, JsonPreservesFindingsDegradationsAndMeta) {
   EXPECT_EQ(loaded.meta.archs, figure.meta.archs);
   EXPECT_EQ(loaded.meta.modes, figure.meta.modes);
 
-  ASSERT_EQ(loaded.curves.size(), 2u);
-  EXPECT_EQ(loaded.curves[0].name, "4870 Pixel Float");
-  ASSERT_EQ(loaded.curves[0].points.size(), 2u);
-  EXPECT_DOUBLE_EQ(loaded.curves[0].points[1].x, 0.5);
-  EXPECT_DOUBLE_EQ(loaded.curves[0].points[1].y, 1.0);
-  EXPECT_DOUBLE_EQ(loaded.curves[0].median, 2.0);
-  EXPECT_DOUBLE_EQ(loaded.curves[1].min, 5.0);
+  const auto& curves = loaded.set.All();
+  ASSERT_EQ(curves.size(), 2u);
+  EXPECT_EQ(curves[0].Name(), "4870 Pixel Float");
+  ASSERT_EQ(curves[0].Points().size(), 2u);
+  EXPECT_DOUBLE_EQ(curves[0].Points()[1].x, 0.5);
+  EXPECT_DOUBLE_EQ(curves[0].Points()[1].y, 1.0);
 
-  // Rendered findings ride in the v1 "notes" key.
-  ASSERT_EQ(loaded.notes.size(), figure.findings.size());
-  EXPECT_EQ(loaded.notes[0], figure.findings[0].Render());
+  // Everything the document carries survives: it is written back
+  // byte for byte, the v1 "notes" rendered from the findings included.
+  EXPECT_EQ(BenchJson(loaded), json);
 }
 
 TEST(ReportRoundTripTest, SlugSurvivesTheRoundTrip) {
@@ -120,7 +120,7 @@ TEST(ReportRoundTripTest, SlugSurvivesTheRoundTrip) {
   EXPECT_EQ(LoadFigureJson(BenchJson(figure)).Slug(), "fig_7");
 }
 
-TEST(ReportRoundTripTest, V1DocumentsLoadWithDefaults) {
+TEST(ReportRoundTripTest, V1DocumentsAreRejected) {
   const char* v1 =
       "{\"figure\": \"Fig. 9 — Old\", \"title\": \"t\","
       " \"paper_claim\": \"c\", \"notes\": [\"free text\"],"
@@ -128,14 +128,14 @@ TEST(ReportRoundTripTest, V1DocumentsLoadWithDefaults) {
       "   \"points\": [{\"x\": 1, \"sim_seconds\": 2.5}],"
       "   \"sim_seconds_median\": 2.5, \"sim_seconds_min\": 2.5,"
       "   \"sim_seconds_max\": 2.5}]}";
-  const LoadedFigure loaded = LoadFigureJson(v1);
-  EXPECT_EQ(loaded.schema_version, 1);
-  EXPECT_TRUE(loaded.findings.empty());
-  EXPECT_TRUE(loaded.degradations.empty());
-  EXPECT_EQ(loaded.notes.size(), 1u);
-  EXPECT_EQ(loaded.meta.threads, 1u);
-  ASSERT_EQ(loaded.curves.size(), 1u);
-  EXPECT_DOUBLE_EQ(loaded.curves[0].points[0].y, 2.5);
+  try {
+    LoadFigureJson(v1);
+    FAIL() << "a v1 document loaded";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("schema_version is missing"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ReportRoundTripTest, MalformedDocumentsThrowConfigError) {
@@ -164,6 +164,51 @@ TEST(JsonParserTest, RoundTripsEscapedStrings) {
   EXPECT_EQ(v.AsString(), nasty);
 }
 
+// Nesting is bounded at kMaxDepth, so a line of nested brackets is a
+// typed error instead of a stack overflow.
+TEST(JsonParserTest, RejectsNestingDeeperThanTheBound) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  static_assert(JsonValue::kMaxDepth == 64);
+  EXPECT_EQ(JsonValue::Parse(nested(64)).type(), JsonValue::Type::kArray);
+  EXPECT_NO_THROW(JsonValue::Parse("{\"a\": " + nested(63) + "}"));
+  for (const std::size_t depth : {65ul, 100000ul}) {
+    try {
+      JsonValue::Parse(nested(depth));
+      ADD_FAILURE() << "depth " << depth << " parsed";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than 64 levels"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(JsonValue::Parse("{\"a\": " + nested(64) + "}"), ConfigError);
+}
+
+TEST(JsonParserTest, IntegerConversionsCheckTheirRange) {
+  const JsonValue doc = JsonValue::Parse(
+      R"({"n": 7, "neg": -3, "frac": 1.5, "big": 1e30, "s": "7"})");
+  EXPECT_EQ(AsU64(*doc.Find("n"), "n"), 7u);
+  EXPECT_EQ(U64Or(doc, "missing", 9), 9u);
+  EXPECT_EQ(AsI64(*doc.Find("neg"), "neg", -5, 5), -3);
+  for (const char* key : {"neg", "frac", "big", "s"}) {
+    try {
+      AsU64(*doc.Find(key), key);
+      ADD_FAILURE() << key << " converted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + std::string(key) + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(AsU64(*doc.Find("n"), "n", 6), ConfigError);
+  EXPECT_THROW(AsI64(*doc.Find("neg"), "neg", -2, 5), ConfigError);
+  EXPECT_THROW(AsI64(*doc.Find("big"), "big", INT64_MIN, INT64_MAX),
+               ConfigError);
+  EXPECT_THROW(AsI64(*doc.Find("frac"), "frac", -5, 5), ConfigError);
+}
+
 // ---- CSV sink golden file ----------------------------------------------
 
 TEST(CsvSinkTest, MatchesGoldenOutput) {
@@ -177,29 +222,49 @@ TEST(CsvSinkTest, MatchesGoldenOutput) {
       "ratio,a,b\n"
       "0.25,3.000000,5.000000\n"
       "0.5,1.000000,\n";
-  EXPECT_EQ(CsvText(figure), golden);
+  EXPECT_EQ(figure.set.RenderCsv(), golden);
 }
 
 TEST(CsvSinkTest, WritesFileNamedAfterSlug) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_csv_test";
   std::filesystem::remove_all(dir);
-  Figure figure = SampleFigure();
-  CsvSink sink(dir);
-  sink.Write(figure);
-  ASSERT_EQ(sink.Written().size(), 1u);
-  EXPECT_EQ(sink.Written()[0].filename().string(), "fig_7.csv");
-  EXPECT_TRUE(std::filesystem::exists(sink.Written()[0]));
+  const Figure figure = SampleFigure();
+  std::ostringstream log;
+  WriteFiles(figure, std::nullopt, dir, log);
+  // The BENCH document first, then the CSV, each named in the log.
+  EXPECT_EQ(log.str(), "JSON results: " + (dir / "BENCH_fig_7.json").string() +
+                           "\nCSV results: " + (dir / "fig_7.csv").string() +
+                           "\n");
+  std::ifstream in(dir / "fig_7.csv");
+  std::stringstream csv;
+  csv << in.rdbuf();
+  EXPECT_EQ(csv.str(), figure.set.RenderCsv());
   std::filesystem::remove_all(dir);
 }
 
-// ---- Text sink ----------------------------------------------------------
+TEST(WriteFilesTest, CurvelessFigureWritesOnlyItsDocument) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "amdmb_csv_curveless_test";
+  std::filesystem::remove_all(dir);
+  Figure table("Table I", "GPU Hardware Features", "row", "value", "claim");
+  std::ostringstream log;
+  WriteFiles(table, dir, dir, log);
+  EXPECT_EQ(log.str(), "");  // No curves and no findings: nothing.
+  table.findings.push_back({FindingKind::kPlateau, "RV770", "alu_count",
+                            800.0, "ALUs", ""});
+  WriteFiles(table, dir, dir, log);
+  EXPECT_EQ(log.str(),
+            "JSON results: " + (dir / "BENCH_table_i.json").string() + "\n");
+  std::filesystem::remove_all(dir);
+}
+
+// ---- Text report --------------------------------------------------------
 
 TEST(TextSinkTest, RendersFindingsAndDegradations) {
   std::ostringstream out;
-  Figure figure = SampleFigure();
-  TextSink sink(out);
-  sink.Write(figure);
+  const Figure figure = SampleFigure();
+  WriteText(out, figure);
   const std::string text = out.str();
   EXPECT_NE(text.find("==== Fig. 7 — ALU:Fetch Ratio for 16 Inputs ===="),
             std::string::npos);
@@ -216,9 +281,9 @@ TEST(TextSinkTest, RendersFindingsAndDegradations) {
 
 // ---- Expectation checks -------------------------------------------------
 
-LoadedFigure Fig7WithCrossover(std::optional<double> value) {
-  LoadedFigure figure;
-  figure.id = "Fig. 7 — ALU:Fetch Ratio for 16 Inputs";
+Figure Fig7WithCrossover(std::optional<double> value) {
+  Figure figure("Fig. 7 — ALU:Fetch Ratio for 16 Inputs", "t", "x", "y",
+                "claim");
   figure.findings.push_back({FindingKind::kCrossover, "4870 Pixel Float",
                              "alu_bound_crossover", value, "ratio", ""});
   return figure;
@@ -230,7 +295,7 @@ Expectation RangeExpectation(double min, double max) {
 }
 
 TEST(ExpectationTest, PassFailMissingAndCensored) {
-  const LoadedFigure figure = Fig7WithCrossover(2.25);
+  const Figure figure = Fig7WithCrossover(2.25);
 
   EXPECT_EQ(CheckExpectation(RangeExpectation(0.5, 3.5), figure).status,
             ExpectationStatus::kPass);
@@ -261,7 +326,7 @@ TEST(ExpectationTest, PassFailMissingAndCensored) {
 }
 
 TEST(ExpectationTest, CurveSubstringPicksTheFirstMatch) {
-  LoadedFigure figure = Fig7WithCrossover(2.25);
+  Figure figure = Fig7WithCrossover(2.25);
   figure.findings.push_back({FindingKind::kCrossover, "4870 Pixel Float4",
                              "alu_bound_crossover", 5.25, "ratio", ""});
   // "4870 Pixel Float" is a prefix of "4870 Pixel Float4": registration
@@ -276,7 +341,7 @@ TEST(ExpectationTest, CurveSubstringPicksTheFirstMatch) {
 }
 
 TEST(ExpectationTest, SkipsExpectationsForAbsentFigures) {
-  const std::vector<LoadedFigure> figures = {Fig7WithCrossover(2.25)};
+  const std::vector<Figure> figures = {Fig7WithCrossover(2.25)};
   const std::vector<ExpectationResult> checks = CheckExpectations(figures);
   // Only the three fig_7 expectations apply; the fig_7 float4/compute
   // ones report missing (the sample figure lacks those findings).
@@ -316,7 +381,7 @@ TEST(AggregateTest, MergesADirectoryIntoMarkdown) {
   other.meta = SampleFigure().meta;  // Same run -> same provenance.
   WriteBenchJson(other, dir);
 
-  const std::vector<LoadedFigure> figures = LoadFigureDirectory(dir);
+  const std::vector<Figure> figures = LoadFigureDirectory(dir);
   ASSERT_EQ(figures.size(), 2u);
   // Sorted by filename: BENCH_ablation_... before BENCH_fig_7.
   EXPECT_EQ(figures[0].Slug(), "ablation_clause_usage_control_paper_fig_5");
@@ -326,9 +391,12 @@ TEST(AggregateTest, MergesADirectoryIntoMarkdown) {
   const std::string md = SuiteSummaryMarkdown(figures, checks);
   EXPECT_NE(md.find("# AMD micro-benchmark suite — merged results"),
             std::string::npos);
-  EXPECT_NE(md.find("## Fig. 7 — ALU:Fetch Ratio for 16 Inputs"),
+  EXPECT_NE(md.find("## Fig. 7 — ALU:Fetch Ratio for 16 Inputs "
+                    "(`BENCH_fig_7.json`)"),
             std::string::npos);
-  EXPECT_NE(md.find("| 4870 Pixel Float | 2 |"), std::string::npos);
+  // Median, min and max come from the points, as the writer's do.
+  EXPECT_NE(md.find("| 4870 Pixel Float | 2 | 2.000 | 1.000 | 3.000 |"),
+            std::string::npos);
   EXPECT_NE(md.find("## Paper-expectation checks"), std::string::npos);
   // The clause-control expectation passes on the synthetic value 0.05.
   EXPECT_NE(md.find("| ablation_clause_usage_control_paper_fig_5 | "

@@ -95,6 +95,45 @@ TEST(ServeProtocol, ParseRequestRejectsMalformedLines) {
       ConfigError);
 }
 
+// Integers from the wire are range-checked before any cast: a value out
+// of its type's range is a ConfigError naming the key, never undefined
+// behaviour.
+TEST(ServeProtocol, ParseRequestRejectsOutOfRangeIntegers) {
+  const auto rejects = [](const std::string& line, const std::string& key) {
+    try {
+      ParseRequest(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* op : {"submit", "characterize"}) {
+    const std::string head = std::string(R"({"op":")") + op +
+                             R"(","figure":"fig_7","il":"x","priority":)";
+    rejects(head + "1e30}", "priority");
+    rejects(head + "-1e10}", "priority");
+    rejects(head + "2147483648}", "priority");
+    rejects(head + R"("high"})", "priority");
+  }
+  rejects(R"({"op":"ping","seq":1e30})", "seq");
+  rejects(R"({"op":"ping","seq":0.5})", "seq");
+  rejects(R"({"op":"kill_worker","worker":1e10})", "worker");
+  rejects(R"({"op":"kill_worker","worker":-1})", "worker");
+  rejects(R"({"op":"kill_worker","worker":"1"})", "worker");
+  // The extremes of each range still parse.
+  EXPECT_EQ(
+      ParseRequest(R"({"op":"submit","figure":"f","priority":-2147483648})")
+          .priority,
+      -2147483648LL);
+  EXPECT_EQ(
+      ParseRequest(R"({"op":"kill_worker","worker":4294967295})").worker,
+      4294967295u);
+  EXPECT_EQ(ParseRequest(R"({"op":"ping","seq":9007199254740992})").seq,
+            9007199254740992u);
+}
+
 TEST(ServeProtocol, EventSerializersRoundTrip) {
   Event e = ParseEvent(SerializeAccepted(7, "fig_7", 3));
   EXPECT_EQ(e.type, EventType::kAccepted);
@@ -1162,6 +1201,33 @@ TEST(ServeServer, MalformedRequestLineGetsTypedProtocolError) {
   server.Drain();
 }
 
+// A short line of nested brackets must not recurse the parser off the
+// stack: the session gets a protocol_error and keeps serving.
+TEST(ServeServer, DeeplyNestedRequestLineGetsTypedProtocolError) {
+  TestRegistry registry;
+  registry.release->set_value();
+  ServerConfig config;
+  config.socket_path = TestSocketPath("deepline");
+  config.registry = &registry.defs;
+  Server server(config);
+  server.Start();
+  const int fd = ConnectUnixSocket(config.socket_path);
+  ASSERT_GE(fd, 0);
+  Session raw(fd);
+  ASSERT_TRUE(raw.WriteLine(std::string(100000, '[')));
+  std::string line;
+  ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
+  const Event error = ParseEvent(line);
+  ASSERT_EQ(error.type, EventType::kError);
+  EXPECT_EQ(error.body.StringOr("kind", ""), "protocol_error");
+  EXPECT_NE(error.body.StringOr("message", "").find("nesting"),
+            std::string::npos);
+  ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
+  ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
+  EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
+  server.Drain();
+}
+
 TEST(ServeServer, OversizedRequestLineGetsTypedErrorThenClose) {
   TestRegistry registry;
   registry.release->set_value();
@@ -1395,11 +1461,20 @@ TEST(ServeFleet, DeadlineExpiryYieldsTypedDeadlineExceeded) {
   AwaitStats(client, [](const ServeStats& s) {
     return AllWorkersHealthy(s, 2);
   });
-  const Event terminal = client.Submit("fig_95", true, 0);
+  double accepted_request = -1.0;
+  const Event terminal =
+      client.Submit("fig_95", true, 0, [&](const Event& event) {
+        if (event.type == EventType::kAccepted) {
+          accepted_request = event.body.NumberOr("request", -1.0);
+        }
+      });
   ASSERT_EQ(terminal.type, EventType::kError);
   EXPECT_EQ(terminal.body.StringOr("kind", ""), "deadline_exceeded");
   EXPECT_NE(terminal.body.StringOr("message", "").find("150"),
             std::string::npos);
+  // The synthesized error names the request the client was accepted as.
+  EXPECT_GE(accepted_request, 1.0);
+  EXPECT_EQ(terminal.body.NumberOr("request", -1.0), accepted_request);
   const ServeStats stats = client.Stats();
   EXPECT_EQ(stats.failed, 1u);
   EXPECT_EQ(stats.completed, 0u);
@@ -1477,11 +1552,15 @@ TEST(ServeFleet, WorkerLossMidStreamIsTypedWorkerLost) {
 
   Client submitter = Client::Connect(config.socket_path);
   Event terminal;
+  double accepted_request = -1.0;
   std::promise<void> streamed;
   std::once_flag streamed_once;
   std::thread submit_thread([&] {
     terminal = submitter.Submit(
         "fig_96", true, 0, [&](const Event& event) {
+          if (event.type == EventType::kAccepted) {
+            accepted_request = event.body.NumberOr("request", -1.0);
+          }
           if (event.type == EventType::kPoint) {
             std::call_once(streamed_once, [&] { streamed.set_value(); });
           }
@@ -1497,6 +1576,8 @@ TEST(ServeFleet, WorkerLossMidStreamIsTypedWorkerLost) {
   EXPECT_NE(terminal.body.StringOr("message", "")
                 .find(std::to_string(target)),
             std::string::npos);
+  EXPECT_GE(accepted_request, 1.0);
+  EXPECT_EQ(terminal.body.NumberOr("request", -1.0), accepted_request);
   EXPECT_GE(control.Stats().failed, 1u);
   supervisor.Drain();
   ::unlink(gate.c_str());

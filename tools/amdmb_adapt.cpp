@@ -10,9 +10,10 @@
 //       BENCH JSON to stdout. Exit 0 ok, 4 disagreement, 5 over budget.
 //   frontier [--dense | --budget N] [--quick] [--json]
 //       Builds the 2D ALU:Fetch x register-step bottleneck frontier map
-//       (a supplement document) and prints it through the text sink, or
+//       (a supplement document) and prints it as the text report, or
 //       as BENCH JSON with --json. AMDMB_JSON_DIR / AMDMB_DUMP_DIR write
-//       the document and the pm3d heatmap exactly like a bench binary.
+//       the document, its CSV and the pm3d heatmap exactly like a bench
+//       binary (report::WriteFiles), naming each file on stderr.
 //   --list
 //       Prints every registry figure slug usable with `figure`.
 #include <algorithm>
@@ -29,9 +30,8 @@
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "common/version.hpp"
-#include "report/gnuplot_sink.hpp"
 #include "report/json_sink.hpp"
-#include "report/text_sink.hpp"
+#include "report/output.hpp"
 #include "suite/figures.hpp"
 
 namespace {
@@ -194,23 +194,10 @@ int RunFrontier(bool dense, bool quick, const adapt::Settings& settings,
   if (json) {
     std::cout << report::BenchJson(figure);
   } else {
-    report::TextSink(std::cout).Write(figure);
+    report::WriteText(std::cout, figure);
   }
   const env::Options& options = env::Get();
-  if (options.dump_dir) {
-    report::GnuplotSink sink(*options.dump_dir);
-    sink.Write(figure);
-    for (const auto& path : sink.Written()) {
-      std::cerr << sink.Label() << ": " << path.string() << "\n";
-    }
-  }
-  if (options.json_dir) {
-    report::JsonSink sink(*options.json_dir);
-    sink.Write(figure);
-    for (const auto& path : sink.Written()) {
-      std::cerr << sink.Label() << ": " << path.string() << "\n";
-    }
-  }
+  report::WriteFiles(figure, options.dump_dir, options.json_dir, std::cerr);
   return 0;
 }
 

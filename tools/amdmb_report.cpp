@@ -4,7 +4,8 @@
 // a directory with AMDMB_JSON_DIR), merges the typed records into one
 // suite-wide markdown summary, and checks the findings against the
 // paper expectations encoded in report/expectations.cpp. Consumes only
-// the typed record model — no bench stdout scraping.
+// the typed record model — no bench stdout scraping. Only schema-v2
+// documents load; any other, or one that fails to parse, exits 2.
 //
 // Usage:
 //   amdmb_report <json-dir> [--out FILE] [--strict] [--figure SLUG] [--list]
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
 
   try {
     using namespace amdmb::report;
-    const std::vector<LoadedFigure> figures =
+    const std::vector<Figure> figures =
         LoadFigureDirectory(json_dir, figure_slug);
     if (figures.empty()) {
       std::cerr << "amdmb_report: no "
@@ -85,7 +86,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (list) {
-      for (const LoadedFigure& figure : figures) {
+      for (const Figure& figure : figures) {
         std::cout << figure.Slug() << "\t" << figure.id << "\n";
       }
       return 0;
