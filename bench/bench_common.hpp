@@ -62,16 +62,7 @@ inline int Main(int argc, char** argv, const std::vector<std::string>& slugs) {
     if (argc > 1) {
       throw ConfigError(std::string("unrecognized argument: ") + argv[1]);
     }
-    const env::Options& options = env::Get();
-    if (options.dump_dir) {
-      report::EnsureWritableDirectory(*options.dump_dir, "AMDMB_DUMP_DIR");
-    }
-    if (options.json_dir) {
-      report::EnsureWritableDirectory(*options.json_dir, "AMDMB_JSON_DIR");
-    }
-    if (options.trace_dir) {
-      report::EnsureWritableDirectory(*options.trace_dir, "AMDMB_TRACE_DIR");
-    }
+    report::EnsureOutputDirectories(/*figure_files=*/true);
     for (const std::string& slug : slugs) {
       const figures::FigureDef* def = figures::Find(slug);
       if (def == nullptr) def = figures::Find(slug, figures::Supplements());

@@ -111,9 +111,7 @@ int main(int argc, char** argv) {
   spec.alu_ops = suite::AluOpsForRatio(ratio, spec.inputs);
 
   try {
-    if (const std::string dir = prof::TraceDirectory(); !dir.empty()) {
-      report::EnsureWritableDirectory(dir, "AMDMB_TRACE_DIR");
-    }
+    report::EnsureOutputDirectories(/*figure_files=*/false);
     const cal::Device device = cal::Device::Open(gpu);
     cal::Context ctx(device);
     il::Kernel kernel;

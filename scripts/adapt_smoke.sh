@@ -12,7 +12,8 @@
 #   3. amdmb_adapt frontier: the 2D bottleneck frontier map builds, is
 #      byte-deterministic across AMDMB_THREADS (meta.threads aside),
 #      emits the pm3d heatmap artifacts under AMDMB_DUMP_DIR, and
-#      writes its BENCH JSON and CSV under AMDMB_JSON_DIR.
+#      writes its BENCH JSON and CSV under AMDMB_JSON_DIR; an unusable
+#      AMDMB_JSON_DIR exits 1, naming the variable, before any sweep.
 #
 # Throughput is measured by the repo benchmark (perf/README.md), not here.
 #
@@ -66,5 +67,15 @@ grep -q "with image" "$WORK_DIR"/plots/*_frontier.gp
 AMDMB_JSON_DIR="$WORK_DIR/json" "$ADAPT" frontier --quick > /dev/null
 ls "$WORK_DIR/json/BENCH_frontier_alu_fetch_x_gpr.json" \
   "$WORK_DIR/json/frontier_alu_fetch_x_gpr.csv" > /dev/null
+touch "$WORK_DIR/not_a_dir"
+got=0
+AMDMB_JSON_DIR="$WORK_DIR/not_a_dir/json" "$ADAPT" frontier --quick \
+  > "$WORK_DIR/bad_dir.out" 2> "$WORK_DIR/bad_dir.err" || got=$?
+if [ "$got" -ne 1 ] || ! grep -q AMDMB_JSON_DIR "$WORK_DIR/bad_dir.err" ||
+   [ -s "$WORK_DIR/bad_dir.out" ]; then
+  echo "frontier with AMDMB_JSON_DIR under a file: exit $got, expected 1" \
+       "with the variable named on stderr and nothing on stdout" >&2
+  exit 1
+fi
 
 echo "== adapt smoke passed"

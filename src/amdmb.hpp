@@ -22,7 +22,6 @@
 #include "common/status.hpp"      // IWYU pragma: export
 #include "common/table.hpp"       // IWYU pragma: export
 #include "common/types.hpp"       // IWYU pragma: export
-#include "compiler/binary.hpp"    // IWYU pragma: export
 #include "compiler/compiler.hpp"  // IWYU pragma: export
 #include "compiler/ska.hpp"       // IWYU pragma: export
 #include "il/builder.hpp"         // IWYU pragma: export

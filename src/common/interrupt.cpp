@@ -32,8 +32,6 @@ bool InterruptRequested() { return g_signal != 0; }
 
 int InterruptSignal() { return static_cast<int>(g_signal); }
 
-void ResetInterruptForTest() { g_signal = 0; }
-
 const char* DescribeSignal(int signal_number) {
   switch (signal_number) {
     case SIGINT: return "SIGINT";

@@ -33,9 +33,6 @@ bool InterruptRequested();
 /// The last recorded signal number (SIGINT/SIGTERM), or 0 when none.
 int InterruptSignal();
 
-/// Clears the recorded signal (tests re-use one process).
-void ResetInterruptForTest();
-
 /// Signal name for the interrupted finding ("SIGINT" / "SIGTERM" /
 /// "signal <n>").
 const char* DescribeSignal(int signal_number);

@@ -1,32 +1,10 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/status.hpp"
 
 namespace amdmb {
-
-void RunningStat::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::Variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStat::StdDev() const { return std::sqrt(Variance()); }
 
 LineFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys) {
   Check(xs.size() == ys.size(), "FitLine: mismatched sample vectors");

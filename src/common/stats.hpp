@@ -1,33 +1,9 @@
 // Small statistics helpers used by the measurement harness.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace amdmb {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  void Add(double x);
-
-  std::uint64_t Count() const { return n_; }
-  double Mean() const { return n_ ? mean_ : 0.0; }
-  double Variance() const;  ///< Sample variance (n-1 denominator).
-  double StdDev() const;
-  double Min() const { return n_ ? min_ : 0.0; }
-  double Max() const { return n_ ? max_ : 0.0; }
-  double Sum() const { return sum_; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 /// Least-squares line fit over (x, y) samples; used by the latency
 /// micro-benchmarks to report per-input / per-output slopes.

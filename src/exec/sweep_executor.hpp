@@ -47,14 +47,13 @@ std::string DescribeException(const std::exception_ptr& error);
 /// "cancelled") instead of run, regardless of the failure policy —
 /// cancellation is intent, not a fault. Points already executing run
 /// to completion, so a cancelled sweep still returns well-formed
-/// partial results. Thread-safe; never resets outside tests.
+/// partial results. Thread-safe; never resets.
 class CancelToken {
  public:
   void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
   bool Cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
-  void ResetForTest() { cancelled_.store(false, std::memory_order_relaxed); }
 
   /// The raw flag, for registering with common/interrupt's signal
   /// handler (NotifyFlagOnInterrupt): the handler's relaxed store on the

@@ -120,8 +120,6 @@ FaultSpec FaultSpec::Parse(std::string_view text) {
 }
 
 bool FaultInjector::ShouldFail(FaultSite site, std::string_view key) const {
-  const auto index = static_cast<std::size_t>(site);
-  checks_[index].fetch_add(1, std::memory_order_relaxed);
   const double p = spec_.Probability(site);
   if (p <= 0.0) return false;
   // Decision = pure hash of (seed, site, key) mapped to [0, 1).
@@ -129,18 +127,7 @@ bool FaultInjector::ShouldFail(FaultSite site, std::string_view key) const {
       Mix(spec_.seed ^ Mix(HashKey(key) + static_cast<std::uint64_t>(site)));
   const double u =
       static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
-  const bool fail = u < p;
-  if (fail) injected_[index].fetch_add(1, std::memory_order_relaxed);
-  return fail;
-}
-
-FaultStats FaultInjector::Stats() const {
-  FaultStats stats;
-  for (std::size_t i = 0; i < kFaultSiteCount; ++i) {
-    stats.checks[i] = checks_[i].load(std::memory_order_relaxed);
-    stats.injected[i] = injected_[i].load(std::memory_order_relaxed);
-  }
-  return stats;
+  return u < p;
 }
 
 const FaultInjector* GlobalInjector() {

@@ -17,8 +17,6 @@
 //   AMDMB_FAULTS=compile:0.01,launch:0.02,hang:0.001,seed=42
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -34,8 +32,6 @@ enum class FaultSite : unsigned {
   kWorkerCrash = 4,  ///< Fleet worker process exits hard on a heartbeat.
   kWorkerHang = 5,   ///< Fleet worker stops answering heartbeats.
 };
-
-inline constexpr std::size_t kFaultSiteCount = 6;
 
 std::string_view ToString(FaultSite site);
 
@@ -62,27 +58,18 @@ struct FaultSpec {
   static FaultSpec Parse(std::string_view text);
 };
 
-/// How often each site was consulted and how often it fired.
-struct FaultStats {
-  std::array<std::uint64_t, kFaultSiteCount> checks{};
-  std::array<std::uint64_t, kFaultSiteCount> injected{};
-};
-
 class FaultInjector {
  public:
   explicit FaultInjector(FaultSpec spec) : spec_(spec) {}
 
-  /// True when the fault fires. Pure in (spec, site, key) apart from the
-  /// statistics counters, so concurrent callers always agree.
+  /// True when the fault fires. Pure in (spec, site, key), so
+  /// concurrent callers always agree.
   bool ShouldFail(FaultSite site, std::string_view key) const;
 
   const FaultSpec& Spec() const { return spec_; }
-  FaultStats Stats() const;
 
  private:
   FaultSpec spec_;
-  mutable std::array<std::atomic<std::uint64_t>, kFaultSiteCount> checks_{};
-  mutable std::array<std::atomic<std::uint64_t>, kFaultSiteCount> injected_{};
 };
 
 /// The process-wide injector: parsed from AMDMB_FAULTS on first use
@@ -101,8 +88,6 @@ class ScopedFaultInjector {
 
   ScopedFaultInjector(const ScopedFaultInjector&) = delete;
   ScopedFaultInjector& operator=(const ScopedFaultInjector&) = delete;
-
-  FaultInjector& Injector() { return injector_; }
 
  private:
   FaultInjector injector_;

@@ -35,10 +35,6 @@ class Builder {
   /// Finalizes and returns the kernel. The builder must not be reused.
   Kernel Build() &&;
 
-  unsigned InstructionCount() const {
-    return static_cast<unsigned>(kernel_.code.size());
-  }
-
  private:
   unsigned Define(Inst inst);
 

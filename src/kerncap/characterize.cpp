@@ -63,12 +63,6 @@ void OperatingPointFindings(report::Figure& figure, const std::string& name,
        std::string(sim::ToString(op.profile->attribution.bottleneck))});
 }
 
-/// One measured rung of a curve's domain ladder.
-struct Rung {
-  unsigned domain = 0;
-  suite::Measurement m;
-};
-
 void RunCurve(report::Figure& figure, const Prepared& prepared,
               const suite::CurveKey& key,
               const std::vector<unsigned>& domains,
@@ -85,25 +79,23 @@ void RunCurve(report::Figure& figure, const Prepared& prepared,
   // of the host's AMDMB_RETRY.
   const suite::SweepOptions sweep{.profile = true,
                                   .executor = options.executor,
-                                  .retry = exec::RetryPolicy{}};
-  suite::SweepResult<Rung> rungs;
-  suite::SweepPoints<Rung>(
+                                  .retry = exec::RetryPolicy{},
+                                  .adaptive = options.adaptive};
+  suite::SweepResult rungs;
+  suite::SweepPoints(
       domains.size(), [&](std::size_t i) { return wavefronts_of(domains[i]); },
       [&](std::size_t i, unsigned attempt) {
         sim::LaunchConfig launch = sweep.Launch(
             Domain{domains[i], domains[i]}, key.mode, BlockShape{64, 1});
         launch.watchdog_cycles = kAnalysisWatchdogCycles;
-        return Rung{domains[i],
-                    MeasureAt(prepared, key.arch, launch, name_of(i), attempt)};
+        return MeasureAt(prepared, key.arch, launch, name_of(i), attempt);
       },
-      name_of, sweep, options.adaptive, rungs);
+      name_of, sweep, rungs);
 
-  Series& series = figure.set.Get(name);
-  for (const Rung& rung : rungs.points) {
-    series.Add(wavefronts_of(rung.domain), rung.m.seconds);
-  }
+  suite::figures::Plot(figure.set.Get(name), rungs);
   suite::figures::Note(figure, /*opts=*/{}, name, rungs);
-  Require(!rungs.points.empty() && rungs.points.back().domain == domains.back(),
+  Require(!rungs.points.empty() &&
+              rungs.points.back().index == domains.size() - 1,
           "kerncap: operating point failed");
   OperatingPointFindings(figure, name, rungs.points.back().m);
   rungs.AppendAdaptiveFindings(figure.findings, name, "wavefronts");

@@ -80,7 +80,6 @@ class TextureCache {
   void Reset();
 
   const CacheStats& Stats() const { return stats_; }
-  unsigned SetCount() const { return set_count_; }
 
   /// Attaches the profiler's per-launch collector (nullptr detaches).
   /// Pure observation: Probe's outcome and the cache state are

@@ -17,7 +17,6 @@ namespace amdmb::mem {
 struct TileShape {
   unsigned width = 4;   ///< Texels in x.
   unsigned height = 4;  ///< Texels in y.
-  unsigned TexelCount() const { return width * height; }
 };
 
 /// Near-square tile covering `line_bytes / element_bytes` texels, wider

@@ -8,7 +8,6 @@
 
 #include "common/status.hpp"
 #include "report/json.hpp"
-#include "report/sink.hpp"
 
 namespace amdmb {
 
@@ -36,8 +35,6 @@ std::string GnuplotScript(const SeriesSet& set, const std::string& dat_file,
 std::filesystem::path WriteGnuplot(const SeriesSet& set,
                                    const std::filesystem::path& directory,
                                    const std::string& stem) {
-  report::EnsureWritableDirectory(directory, "WriteGnuplot output directory");
-
   const std::filesystem::path dat = directory / (stem + ".dat");
   const std::filesystem::path gp = directory / (stem + ".gp");
   {
@@ -61,8 +58,6 @@ std::filesystem::path WriteGnuplot(const SeriesSet& set,
 std::filesystem::path WriteFrontierGnuplot(
     const report::Frontier& frontier, const std::filesystem::path& directory,
     const std::string& stem) {
-  report::EnsureWritableDirectory(directory,
-                                  "WriteFrontierGnuplot output directory");
   const std::size_t nx = frontier.xs.size();
   const std::size_t ny = frontier.ys.size();
   Require(nx > 0 && ny > 0 && frontier.cells.size() == nx * ny,

@@ -13,9 +13,8 @@
 
 namespace amdmb {
 
-/// Writes `<stem>.dat` and `<stem>.gp` under `directory` (created if
-/// missing) and returns the script path. Throws ConfigError on I/O
-/// failure.
+/// Writes `<stem>.dat` and `<stem>.gp` under the existing `directory`
+/// and returns the script path. Throws ConfigError on I/O failure.
 std::filesystem::path WriteGnuplot(const SeriesSet& set,
                                    const std::filesystem::path& directory,
                                    const std::string& stem);

@@ -264,25 +264,32 @@ class JsonParser {
     return value;
   }
 
+  /// The RFC 8259 grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?;
+  /// a digit after a leading zero is left for the caller to reject.
   JsonValue ParseNumber() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() &&
+             std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    Consume("-");
+    if (!Consume("0") && !digits()) {
+      Fail(pos_ == start ? "expected a value" : "bad number");
     }
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
+    if (Consume(".") && !digits()) Fail("bad number");
+    if (Consume("e") || Consume("E")) {
+      if (!Consume("+")) Consume("-");
+      if (!digits()) Fail("bad number");
     }
-    if (pos_ == start) Fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double number = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) Fail("bad number");
     JsonValue value;
     value.type_ = JsonValue::Type::kNumber;
-    value.number_ = number;
+    value.number_ =
+        std::strtod(std::string(text_.substr(start, pos_ - start)).c_str(),
+                    nullptr);
     return value;
   }
 

@@ -228,8 +228,6 @@ std::string BenchJson(const Figure& figure) {
 
 std::filesystem::path WriteBenchJson(
     const Figure& figure, const std::filesystem::path& directory) {
-  EnsureWritableDirectory(directory, "WriteBenchJson output directory");
-
   const std::filesystem::path file =
       directory / ("BENCH_" + figure.Slug() + ".json");
   std::ofstream out(file);

@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "report/record.hpp"
-#include "report/sink.hpp"
 
 namespace amdmb::report {
 
@@ -36,8 +35,8 @@ std::string FigureSlug(std::string_view id);
 /// degraded — so fault-free documents only gain the new keys.
 std::string BenchJson(const Figure& figure);
 
-/// Writes `BENCH_<slug>.json` under `directory` (created if missing)
-/// and returns the file path. Throws ConfigError on I/O failure.
+/// Writes `BENCH_<slug>.json` under the existing `directory` and
+/// returns the file path. Throws ConfigError on I/O failure.
 std::filesystem::path WriteBenchJson(const Figure& figure,
                                      const std::filesystem::path& directory);
 

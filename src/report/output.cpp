@@ -6,7 +6,6 @@
 #include "common/status.hpp"
 #include "report/gnuplot_sink.hpp"
 #include "report/json_sink.hpp"
-#include "report/sink.hpp"
 
 namespace amdmb::report {
 
@@ -66,7 +65,6 @@ void WriteFiles(const Figure& figure,
     note("JSON results", WriteBenchJson(figure, *json_dir));
   }
   if (has_curves) {
-    EnsureWritableDirectory(*json_dir, "WriteCsv output directory");
     const std::filesystem::path file = *json_dir / (slug + ".csv");
     {
       std::ofstream out(file);

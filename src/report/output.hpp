@@ -26,7 +26,8 @@ void WriteText(std::ostream& os, const Figure& figure);
 /// frontier ("Gnuplot script"). Under `json_dir`: `BENCH_<slug>.json`
 /// when it has curves, findings or degradations ("JSON results"; Table
 /// I has only findings), then `<slug>.csv` when it has curves ("CSV
-/// results"). Throws ConfigError on I/O failure.
+/// results"). The directories must exist (EnsureOutputDirectories).
+/// Throws ConfigError on I/O failure.
 void WriteFiles(const Figure& figure,
                 const std::optional<std::filesystem::path>& dump_dir,
                 const std::optional<std::filesystem::path>& json_dir,

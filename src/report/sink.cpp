@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "common/env.hpp"
 #include "common/status.hpp"
 
 namespace amdmb::report {
@@ -27,6 +28,19 @@ void EnsureWritableDirectory(const std::filesystem::path& directory,
     }
   }
   std::filesystem::remove(probe, ec);  // Best effort; the probe is empty.
+}
+
+void EnsureOutputDirectories(bool figure_files) {
+  const env::Options& options = env::Get();
+  if (figure_files && options.dump_dir) {
+    EnsureWritableDirectory(*options.dump_dir, "AMDMB_DUMP_DIR");
+  }
+  if (figure_files && options.json_dir) {
+    EnsureWritableDirectory(*options.json_dir, "AMDMB_JSON_DIR");
+  }
+  if (options.trace_dir) {
+    EnsureWritableDirectory(*options.trace_dir, "AMDMB_TRACE_DIR");
+  }
 }
 
 }  // namespace amdmb::report

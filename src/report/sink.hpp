@@ -1,5 +1,6 @@
-// The output-directory check every file writer of the report layer
-// shares (report/output.hpp, json_sink.hpp, gnuplot_sink.hpp).
+// The output-directory check a program makes once, before any sweep,
+// for the directories its writers (report/output.hpp) and profiled
+// launches (prof/chrome_trace.hpp) write to.
 #pragma once
 
 #include <filesystem>
@@ -14,5 +15,11 @@ namespace amdmb::report {
 /// not silently drop results at the end of a long run.
 void EnsureWritableDirectory(const std::filesystem::path& directory,
                              std::string_view label);
+
+/// EnsureWritableDirectory on each output directory the environment
+/// sets, labelled with its variable: AMDMB_DUMP_DIR and AMDMB_JSON_DIR
+/// when the program writes figure files (report::WriteFiles), then
+/// AMDMB_TRACE_DIR, where profiled launches write their traces.
+void EnsureOutputDirectories(bool figure_files);
 
 }  // namespace amdmb::report

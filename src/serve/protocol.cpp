@@ -336,35 +336,31 @@ std::string SerializeStats(const ServeStats& stats) {
   return os.str();
 }
 
-namespace {
-
-std::uint64_t CountOr(const report::JsonValue& body, std::string_view key) {
-  return static_cast<std::uint64_t>(body.NumberOr(key, 0.0));
-}
-
-}  // namespace
-
 ServeStats ParseStats(const report::JsonValue& body) {
+  using report::U64Or;
+  constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
   ServeStats stats;
   stats.version = body.StringOr("version", "");
-  stats.queue_depth = static_cast<std::size_t>(CountOr(body, "queue_depth"));
-  stats.in_flight = static_cast<unsigned>(CountOr(body, "in_flight"));
-  stats.max_queue = static_cast<std::size_t>(CountOr(body, "max_queue"));
-  stats.max_inflight = static_cast<unsigned>(CountOr(body, "max_inflight"));
-  stats.completed = CountOr(body, "completed");
-  stats.failed = CountOr(body, "failed");
-  stats.rejected = CountOr(body, "rejected");
+  stats.queue_depth = U64Or(body, "queue_depth", 0);
+  stats.in_flight =
+      static_cast<unsigned>(U64Or(body, "in_flight", 0, kUnsignedMax));
+  stats.max_queue = U64Or(body, "max_queue", 0);
+  stats.max_inflight =
+      static_cast<unsigned>(U64Or(body, "max_inflight", 0, kUnsignedMax));
+  stats.completed = U64Or(body, "completed", 0);
+  stats.failed = U64Or(body, "failed", 0);
+  stats.rejected = U64Or(body, "rejected", 0);
   if (const report::JsonValue* cache = body.Find("cache")) {
-    stats.cache_hits = CountOr(*cache, "hits");
-    stats.cache_misses = CountOr(*cache, "misses");
+    stats.cache_hits = U64Or(*cache, "hits", 0);
+    stats.cache_misses = U64Or(*cache, "misses", 0);
     stats.cache_hit_rate = cache->NumberOr("hit_rate", 0.0);
-    stats.cache_size = static_cast<std::size_t>(CountOr(*cache, "size"));
+    stats.cache_size = U64Or(*cache, "size", 0);
   }
   if (const report::JsonValue* latencies = body.Find("latencies")) {
     for (const report::JsonValue& entry : latencies->AsArray()) {
       FigureLatency l;
       l.figure = entry.StringOr("figure", "");
-      l.count = static_cast<std::size_t>(CountOr(entry, "count"));
+      l.count = U64Or(entry, "count", 0);
       l.p50_seconds = entry.NumberOr("p50_seconds", 0.0);
       l.p90_seconds = entry.NumberOr("p90_seconds", 0.0);
       l.p99_seconds = entry.NumberOr("p99_seconds", 0.0);
@@ -374,12 +370,16 @@ ServeStats ParseStats(const report::JsonValue& body) {
   if (const report::JsonValue* workers = body.Find("workers")) {
     for (const report::JsonValue& entry : workers->AsArray()) {
       WorkerStatus w;
-      w.index = static_cast<unsigned>(CountOr(entry, "index"));
+      w.index = static_cast<unsigned>(U64Or(entry, "index", 0, kUnsignedMax));
       w.state = entry.StringOr("state", "");
-      w.pid = static_cast<long>(entry.NumberOr("pid", -1.0));
-      w.restarts = static_cast<unsigned>(CountOr(entry, "restarts"));
-      w.outstanding = CountOr(entry, "outstanding");
-      w.generation = CountOr(entry, "generation");
+      if (const report::JsonValue* pid = entry.Find("pid")) {
+        w.pid = static_cast<long>(
+            report::AsI64(*pid, "pid", -1, std::numeric_limits<int>::max()));
+      }
+      w.restarts =
+          static_cast<unsigned>(U64Or(entry, "restarts", 0, kUnsignedMax));
+      w.outstanding = U64Or(entry, "outstanding", 0);
+      w.generation = U64Or(entry, "generation", 0);
       stats.workers.push_back(std::move(w));
     }
   }

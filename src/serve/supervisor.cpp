@@ -255,13 +255,14 @@ void Supervisor::ForwardRequest(const std::shared_ptr<Session>& session,
       Event event;
       try {
         event = ParseEvent(line);
+        if (event.type == EventType::kAccepted) {
+          worker_id = report::U64Or(event.body, "request", 0);
+        }
       } catch (const std::exception&) {
         continue;  // A torn line from a dying worker; the close follows.
       }
       switch (event.type) {
         case EventType::kAccepted:
-          worker_id = static_cast<std::uint64_t>(
-              event.body.NumberOr("request", 0.0));
           // After a failover the retry worker re-accepts; the client
           // already saw one accepted event, so suppress the duplicate.
           if (!forwarded_accepted) {
@@ -416,22 +417,22 @@ void Supervisor::TickSlot(Slot& slot) {
     try {
       const Event event = ParseEvent(line);
       if (event.type == EventType::kPong &&
-          static_cast<std::uint64_t>(event.body.NumberOr("seq", 0.0)) ==
-              slot.ping_seq) {
+          report::U64Or(event.body, "seq", 0) == slot.ping_seq) {
         std::lock_guard<std::mutex> lock(slots_mutex_);
+        // All four counts are read before the slot changes, so a bad
+        // one leaves it as a torn line would.
+        PongStats pong;
+        pong.completed = report::U64Or(event.body, "completed", 0);
+        pong.failed = report::U64Or(event.body, "failed", 0);
+        pong.cache_hits = report::U64Or(event.body, "cache_hits", 0);
+        pong.cache_misses = report::U64Or(event.body, "cache_misses", 0);
         slot.health.OnPong();
-        slot.last_pong.completed =
-            static_cast<std::uint64_t>(event.body.NumberOr("completed", 0.0));
-        slot.last_pong.failed =
-            static_cast<std::uint64_t>(event.body.NumberOr("failed", 0.0));
-        slot.last_pong.cache_hits = static_cast<std::uint64_t>(
-            event.body.NumberOr("cache_hits", 0.0));
-        slot.last_pong.cache_misses = static_cast<std::uint64_t>(
-            event.body.NumberOr("cache_misses", 0.0));
+        slot.last_pong = pong;
         return;
       }
     } catch (const std::exception&) {
-      // Torn line; keep reading until the pong deadline.
+      // Torn line or a count out of range; keep reading until the pong
+      // deadline.
     }
     // A stale pong (older seq, discarded) also loops back here.
   }

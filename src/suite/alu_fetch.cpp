@@ -38,21 +38,19 @@ AluFetchResult RunAluFetch(const Runner& runner, ShaderMode mode,
     return "alufetch_r" + FormatDouble(ratios[i], 2);
   };
   AluFetchResult result;
-  SweepPoints<AluFetchPoint>(
+  SweepPoints(
       ratios.size(), [&](std::size_t i) { return ratios[i]; },
       [&](std::size_t i, unsigned attempt) {
-        return AluFetchPoint{
-            ratios[i],
-            runner.Measure(AluFetchKernel(config, mode, type, ratios[i]),
-                           launch, {name_of(i), attempt})};
+        return runner.Measure(AluFetchKernel(config, mode, type, ratios[i]),
+                              launch, {name_of(i), attempt});
       },
-      name_of, config, config.adaptive, result);
+      name_of, config, result);
 
   std::vector<adapt::Sample> samples;
   samples.reserve(result.points.size());
-  for (const AluFetchPoint& point : result.points) {
+  for (const SweepPoint& point : result.points) {
     samples.push_back(
-        {point.ratio, std::string(sim::ToString(point.m.stats.bottleneck))});
+        {point.x, std::string(sim::ToString(point.m.stats.bottleneck))});
   }
   if (const auto t = adapt::FirstTransitionTo(
           samples, std::string(sim::ToString(sim::Bottleneck::kAlu)))) {

@@ -11,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
 #include "suite/sweep.hpp"
@@ -28,18 +27,10 @@ struct AluFetchConfig : SweepOptions {
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;
   WritePath write_path = WritePath::kStream;
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refine):
-  /// only the coarse pass plus bisection points around bottleneck flips
-  /// are measured. Dense output is unchanged when null.
-  const adapt::Settings* adaptive = nullptr;
 };
 
-struct AluFetchPoint {
-  double ratio = 0.0;
-  Measurement m;
-};
-
-struct AluFetchResult : SweepResult<AluFetchPoint> {
+/// Points are at x = the ALU:Fetch ratio.
+struct AluFetchResult : SweepResult {
   /// First swept ratio at which the simulator classifies the kernel as
   /// ALU-bound, if it happens within the sweep.
   std::optional<double> crossover;

@@ -46,31 +46,32 @@ BlockSizeResult RunBlockSizeExplorer(const Runner& runner,
     return "block_" + std::to_string(shapes[i].x) + "x" +
            std::to_string(shapes[i].y);
   };
+  // The explorer has no adaptive mode: it measures every shape.
+  SweepOptions dense = config;
+  dense.adaptive = nullptr;
   BlockSizeResult result;
-  SweepPoints<BlockSizePoint>(
+  SweepPoints(
       shapes.size(),
       [&](std::size_t i) {
         return std::log2(static_cast<double>(shapes[i].x));
       },
       [&](std::size_t i, unsigned attempt) {
-        return BlockSizePoint{
-            shapes[i],
-            runner.Measure(kernel,
-                           config.Launch(config.domain, ShaderMode::kCompute,
-                                         shapes[i]),
-                           {name_of(i), attempt})};
+        return runner.Measure(
+            kernel, config.Launch(config.domain, ShaderMode::kCompute,
+                                  shapes[i]),
+            {name_of(i), attempt});
       },
-      name_of, config, /*adaptive=*/nullptr, result);
+      name_of, dense, result);
 
   double naive_seconds = 0.0;
   bool first = true;
-  for (const BlockSizePoint& point : result.points) {
+  for (const SweepPoint& point : result.points) {
     if (first || point.m.seconds < result.best_seconds) {
-      result.best = point.block;
+      result.best = shapes[point.index];
       result.best_seconds = point.m.seconds;
       first = false;
     }
-    if (point.block.y == 1) naive_seconds = point.m.seconds;
+    if (shapes[point.index].y == 1) naive_seconds = point.m.seconds;
   }
   result.naive_penalty = naive_seconds > 0.0 && result.best_seconds > 0.0
                              ? naive_seconds / result.best_seconds

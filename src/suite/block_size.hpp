@@ -25,14 +25,10 @@ struct BlockSizeConfig : SweepOptions {
   Domain domain{1024, 1024};
 };
 
-struct BlockSizePoint {
-  BlockShape block;
-  Measurement m;
-};
-
-/// Points run wide to tall; the explorer always sweeps densely, so
-/// `adaptive` stays empty.
-struct BlockSizeResult : SweepResult<BlockSizePoint> {
+/// One point per shape that divides the domain, wide to tall, at
+/// x = log2(block width). The explorer always sweeps densely, whatever
+/// the config's `adaptive` says, so `adaptive` stays empty.
+struct BlockSizeResult : SweepResult {
   BlockShape best;
   double best_seconds = 0.0;
   /// Slowdown of the naive 64x1 shape relative to the best.

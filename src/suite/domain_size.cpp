@@ -39,23 +39,21 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
     return "domain_" + std::to_string(sizes[i]);
   };
   DomainSizeResult result;
-  SweepPoints<DomainSizePoint>(
+  SweepPoints(
       sizes.size(),
       [&](std::size_t i) { return static_cast<double>(sizes[i]); },
       [&](std::size_t i, unsigned attempt) {
-        return DomainSizePoint{
-            sizes[i],
-            runner.Measure(
-                kernel,
-                config.Launch(Domain{sizes[i], sizes[i]}, mode, config.block),
-                {name_of(i), attempt})};
+        return runner.Measure(
+            kernel,
+            config.Launch(Domain{sizes[i], sizes[i]}, mode, config.block),
+            {name_of(i), attempt});
       },
-      name_of, config, config.adaptive, result);
+      name_of, config, result);
   return result;
 }
 
-std::vector<report::Finding> Findings(const DomainSizeResult& result,
-                                      const std::string& curve) {
+std::vector<report::Finding> DomainSizeFindings(
+    const DomainSizeResult& result, const std::string& curve) {
   std::vector<report::Finding> findings;
   if (result.points.empty()) return findings;
   findings.push_back({report::FindingKind::kRatio, curve, "sweep_growth",

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
 #include "suite/sweep.hpp"
@@ -24,16 +23,10 @@ struct DomainSizeConfig : SweepOptions {
   unsigned inputs = 8;
   double alu_fetch_ratio = 10.0;
   BlockShape block{64, 1};
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refine).
-  const adapt::Settings* adaptive = nullptr;
 };
 
-struct DomainSizePoint {
-  unsigned size = 0;  ///< Square domain edge.
-  Measurement m;
-};
-
-using DomainSizeResult = SweepResult<DomainSizePoint>;
+/// Points are at x = the square domain's edge.
+using DomainSizeResult = SweepResult;
 
 /// The one kernel the sweep launches at every domain, named
 /// "domain_sweep".
@@ -46,7 +39,7 @@ DomainSizeResult RunDomainSize(const Runner& runner, ShaderMode mode,
 /// Typed findings of one sweep, attributed to `curve`: "sweep_growth"
 /// (largest over smallest domain time) and "max_domain_seconds". Empty
 /// when the sweep produced no points.
-std::vector<report::Finding> Findings(const DomainSizeResult& result,
-                                      const std::string& curve);
+std::vector<report::Finding> DomainSizeFindings(
+    const DomainSizeResult& result, const std::string& curve);
 
 }  // namespace amdmb::suite

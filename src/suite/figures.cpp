@@ -99,10 +99,7 @@ FigureDef MakeFig7() {
            Runner runner(key.arch);
            const AluFetchResult r =
                RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const AluFetchPoint& p : r.points) {
-             series.Add(p.ratio, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), r);
            Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            Append(fig, Findings(r, key.Name()));
@@ -131,10 +128,7 @@ FigureDef MakeFig8() {
                RunAluFetch(runner, key.mode, key.type, Fig8Config(opts));
            const AluFetchResult naive =
                RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const AluFetchPoint& p : blocked.points) {
-             series.Add(p.ratio, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), blocked);
            Note(fig, opts, key.Name() + " 4x16", blocked);
            Note(fig, opts, key.Name() + " 64x1", naive);
            if (blocked.points.empty() || naive.points.empty()) return;
@@ -171,10 +165,7 @@ FigureDef MakeFig9() {
            // Texture-read counterpart for the paper's comparison.
            const AluFetchResult t =
                RunAluFetch(runner, key.mode, key.type, QuickAluFetch(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const AluFetchPoint& p : r.points) {
-             series.Add(p.ratio, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), r);
            Note(fig, opts, key.Name() + " global", r);
            Note(fig, opts, key.Name() + " texture", t);
            if (r.points.empty() || t.points.empty()) return;
@@ -208,10 +199,7 @@ FigureDef MakeFig10() {
            Runner runner(key.arch);
            const AluFetchResult global =
                RunAluFetch(runner, key.mode, key.type, Fig10Config(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const AluFetchPoint& p : global.points) {
-             series.Add(p.ratio, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), global);
            Note(fig, opts, key.Name(), global);
            if (global.points.empty()) return;
            Append(fig, Findings(global, key.Name()));
@@ -240,10 +228,7 @@ void ReadLatencyCurve(report::Figure& fig, const RunOptions& opts,
                       const CurveKey& key, const ReadLatencyConfig& config) {
   const ReadLatencyResult r =
       RunReadLatency(Runner(key.arch), key.mode, key.type, config);
-  Series& series = fig.set.Get(key.Name());
-  for (const ReadLatencyPoint& p : r.points) {
-    series.Add(p.inputs, p.m.seconds);
-  }
+  Plot(fig.set.Get(key.Name()), r);
   Note(fig, opts, key.Name(), r);
   if (r.points.empty()) return;
   Append(fig, Findings(r, key.Name()));
@@ -310,10 +295,7 @@ FigureDef MakeFig13() {
            Runner runner(key.arch);
            const WriteLatencyResult r =
                RunWriteLatency(runner, key.mode, key.type, Fig13Config(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const WriteLatencyPoint& p : r.points) {
-             series.Add(p.outputs, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), r);
            Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
@@ -344,10 +326,7 @@ FigureDef MakeFig14() {
            Runner runner(key.arch);
            const WriteLatencyResult r =
                RunWriteLatency(runner, key.mode, key.type, Fig14Config(opts));
-           Series& series = fig.set.Get(key.Name());
-           for (const WriteLatencyPoint& p : r.points) {
-             series.Add(p.outputs, p.m.seconds);
-           }
+           Plot(fig.set.Get(key.Name()), r);
            Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
            std::vector<report::Finding> findings = Findings(r, key.Name());
@@ -399,14 +378,11 @@ std::pair<FigureDef, FigureDef> MakeFig15() {
                  RunDomainSize(runner, key.mode, DataType::kFloat, config);
              const DomainSizeResult f4 =
                  RunDomainSize(runner, key.mode, DataType::kFloat4, config);
-             Series& series = fig.set.Get(label);
-             for (const DomainSizePoint& p : f.points) {
-               series.Add(p.size, p.m.seconds);
-             }
+             Plot(fig.set.Get(label), f);
              Note(fig, opts, label + " float", f);
              Note(fig, opts, label + " float4", f4);
              if (f.points.empty() || f4.points.empty()) return;
-             Append(fig, Findings(f, label));
+             Append(fig, DomainSizeFindings(f, label));
              fig.findings.push_back(
                  {report::FindingKind::kRatio, label,
                   "float4_float_max_domain_ratio",
@@ -437,12 +413,13 @@ FigureDef MakeFig16() {
            const RegisterUsageResult r = RunRegisterUsage(
                runner, key.mode, key.type, Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(key.Name());
-           for (const RegisterUsagePoint& p : r.points) {
-             series.Add(p.gpr_count, p.m.seconds);
+           for (const SweepPoint& p : r.points) {
+             series.Add(p.m.stats.gpr_count, p.m.seconds);
            }
            Note(fig, opts, key.Name(), r);
            if (r.points.empty()) return;
-           std::vector<report::Finding> findings = Findings(r, key.Name());
+           std::vector<report::Finding> findings =
+               RegisterUsageFindings(r, key.Name());
            findings.back().detail =
                "final bottleneck " +
                std::string(
@@ -479,9 +456,8 @@ FigureDef MakeFig17() {
            double worst_gain = 1e9;
            const std::size_t paired =
                std::min(blocked.points.size(), naive.points.size());
-           for (std::size_t i = 0; i < blocked.points.size(); ++i) {
-             series.Add(blocked.points[i].gpr_count,
-                        blocked.points[i].m.seconds);
+           for (const SweepPoint& p : blocked.points) {
+             series.Add(p.m.stats.gpr_count, p.m.seconds);
            }
            for (std::size_t i = 0; i < paired; ++i) {
              worst_gain =
@@ -489,7 +465,7 @@ FigureDef MakeFig17() {
                                           blocked.points[i].m.seconds);
            }
            if (blocked.points.empty()) return;
-           Append(fig, Findings(blocked, key.Name()));
+           Append(fig, RegisterUsageFindings(blocked, key.Name()));
            if (paired > 0) {
              fig.findings.push_back(
                  {report::FindingKind::kRatio, key.Name(),
@@ -582,6 +558,26 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
   figure.meta.quick = opts.quick;
   figure.meta.adaptive = opts.adaptive != nullptr;
   return figure;
+}
+
+void Note(report::Figure& figure, const RunOptions& opts,
+          const std::string& curve, const SweepResult& result) {
+  for (report::Degradation& d :
+       report::DegradationsFrom(result.report, curve)) {
+    figure.degradations.push_back(std::move(d));
+  }
+  for (const SweepPoint& point : result.points) {
+    if (point.m.profile == nullptr) continue;
+    if (opts.on_profile) opts.on_profile(curve, *point.m.profile);
+    figure.profiles.push_back(report::MakeProfileEntry(
+        curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
+  }
+}
+
+void Plot(Series& series, const SweepResult& result) {
+  for (const SweepPoint& point : result.points) {
+    series.Add(point.x, point.m.seconds);
+  }
 }
 
 void Append(report::Figure& figure, std::vector<report::Finding> findings) {

@@ -16,7 +16,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "adapt/refiner.hpp"
@@ -26,6 +25,7 @@
 #include "prof/profile.hpp"
 #include "report/record.hpp"
 #include "sim/gpu.hpp"
+#include "suite/sweep.hpp"
 
 namespace amdmb::suite::figures {
 
@@ -111,37 +111,25 @@ report::Figure Build(const FigureDef& def, const RunOptions& opts,
 /// point of `result.report` as a typed Degradation and every profiled
 /// point as a ProfileEntry (none when profiling was off), handing its
 /// profile to opts.on_profile.
-template <typename Result>
 void Note(report::Figure& figure, const RunOptions& opts,
-          const std::string& curve, const Result& result) {
-  for (report::Degradation& d :
-       report::DegradationsFrom(result.report, curve)) {
-    figure.degradations.push_back(std::move(d));
-  }
-  for (const auto& point : result.points) {
-    if (point.m.profile == nullptr) continue;
-    if (opts.on_profile) opts.on_profile(curve, *point.m.profile);
-    figure.profiles.push_back(report::MakeProfileEntry(
-        curve, *point.m.profile, sim::ToString(point.m.stats.bottleneck)));
-  }
-}
+          const std::string& curve, const SweepResult& result);
+
+/// Adds every point of `result` to `series` as (x, seconds).
+void Plot(Series& series, const SweepResult& result);
 
 /// Appends `findings` to the record in order.
 void Append(report::Figure& figure, std::vector<report::Finding> findings);
 
 /// A runner config carrying opts: a 256x256 domain when quick (for
 /// configs with one domain), the executor, the cancel token, profiling
-/// when opts.on_profile is set, and the adaptive settings (for configs
-/// that refine).
+/// when opts.on_profile is set, and the adaptive settings.
 template <typename Config>
 Config Quick(const RunOptions& opts) {
   Config config;
   if constexpr (requires { config.domain; }) {
     if (opts.quick) config.domain = Domain{256, 256};
   }
-  if constexpr (requires { config.adaptive; }) {
-    config.adaptive = opts.adaptive;
-  }
+  config.adaptive = opts.adaptive;
   config.executor = opts.executor;
   config.cancel = opts.cancel;
   if (opts.on_profile) config.profile = true;

@@ -9,7 +9,7 @@ Runner::Runner(const GpuArch& arch, exec::KernelCache* cache)
 
 Measurement Runner::Measure(const il::Kernel& kernel,
                             const sim::LaunchConfig& config,
-                            const MeasureContext& ctx) const {
+                            const cal::CallContext& ctx) const {
   // Resolved from this kernel's name, not the program's: the cache hands
   // one program, named after the kernel that compiled it, to every
   // kernel that lowers to it.

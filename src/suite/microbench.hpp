@@ -17,11 +17,6 @@
 
 namespace amdmb::suite {
 
-/// Identifies one measurement for fault injection / error reporting:
-/// the sweep-point name (empty = the kernel name) and the 1-based
-/// attempt number the retry layer is on.
-using MeasureContext = cal::CallContext;
-
 /// One measured kernel execution.
 struct Measurement {
   double seconds = 0.0;  ///< Timer over all repetitions.
@@ -50,7 +45,7 @@ class Runner {
   /// cal::CalError carrying the stage, point, and attempt.
   Measurement Measure(const il::Kernel& kernel,
                       const sim::LaunchConfig& config,
-                      const MeasureContext& ctx = {}) const;
+                      const cal::CallContext& ctx = {}) const;
 
   const GpuArch& Arch() const { return gpu_.Arch(); }
 

@@ -36,21 +36,20 @@ ReadLatencyResult RunReadLatency(const Runner& runner, ShaderMode mode,
     return "readlat_in" + std::to_string(inputs_of(i));
   };
   ReadLatencyResult result;
-  SweepPoints<ReadLatencyPoint>(
+  SweepPoints(
       config.max_inputs - config.min_inputs + 1,
       [&](std::size_t i) { return static_cast<double>(inputs_of(i)); },
       [&](std::size_t i, unsigned attempt) {
-        return ReadLatencyPoint{
-            inputs_of(i),
-            runner.Measure(ReadLatencyKernel(config, mode, type, inputs_of(i)),
-                           launch, {name_of(i), attempt})};
+        return runner.Measure(
+            ReadLatencyKernel(config, mode, type, inputs_of(i)), launch,
+            {name_of(i), attempt});
       },
-      name_of, config, config.adaptive, result);
+      name_of, config, result);
 
   std::vector<double> xs;
   std::vector<double> ys;
-  for (const ReadLatencyPoint& point : result.points) {
-    xs.push_back(point.inputs);
+  for (const SweepPoint& point : result.points) {
+    xs.push_back(point.x);
     ys.push_back(point.m.seconds);
   }
   result.fit = FitLine(xs, ys);

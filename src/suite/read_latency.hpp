@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
@@ -22,18 +21,11 @@ struct ReadLatencyConfig : SweepOptions {
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   ReadPath read_path = ReadPath::kTexture;  ///< kGlobal for Fig. 12.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refine);
-  /// the latency fit then uses only the refined points.
-  const adapt::Settings* adaptive = nullptr;
 };
 
-struct ReadLatencyPoint {
-  unsigned inputs = 0;
-  Measurement m;
-};
-
-struct ReadLatencyResult : SweepResult<ReadLatencyPoint> {
-  LineFit fit;  ///< seconds vs inputs.
+/// Points are at x = the input count.
+struct ReadLatencyResult : SweepResult {
+  LineFit fit;  ///< seconds vs inputs, over the measured points only.
 };
 
 /// The kernel the sweep measures at `inputs`, named "readlat_in<inputs>".

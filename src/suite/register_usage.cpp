@@ -35,38 +35,35 @@ RegisterUsageResult RunRegisterUsage(const Runner& runner, ShaderMode mode,
     return "regusage_s" + std::to_string(step_of(i));
   };
   RegisterUsageResult result;
-  SweepPoints<RegisterUsagePoint>(
+  SweepPoints(
       config.max_step - config.min_step + 1,
       [&](std::size_t i) { return static_cast<double>(step_of(i)); },
       [&](std::size_t i, unsigned attempt) {
-        RegisterUsagePoint point;
-        point.step = step_of(i);
-        point.m =
-            runner.Measure(RegisterUsageKernel(config, mode, type, point.step),
-                           launch, {name_of(i), attempt});
-        point.gpr_count = point.m.stats.gpr_count;
-        return point;
+        return runner.Measure(
+            RegisterUsageKernel(config, mode, type, step_of(i)), launch,
+            {name_of(i), attempt});
       },
-      name_of, config, config.adaptive, result);
+      name_of, config, result);
   return result;
 }
 
-std::vector<report::Finding> Findings(const RegisterUsageResult& result,
-                                      const std::string& curve) {
+std::vector<report::Finding> RegisterUsageFindings(
+    const RegisterUsageResult& result, const std::string& curve) {
   std::vector<report::Finding> findings;
   if (result.points.empty()) return findings;
-  const RegisterUsagePoint& first = result.points.front();
-  const RegisterUsagePoint& last = result.points.back();
+  const Measurement& first = result.points.front().m;
+  const Measurement& last = result.points.back().m;
   findings.push_back({report::FindingKind::kPlateau, curve, "gpr_max",
-                      static_cast<double>(first.gpr_count), "GPRs", ""});
+                      static_cast<double>(first.stats.gpr_count), "GPRs",
+                      ""});
   findings.push_back({report::FindingKind::kPlateau, curve,
-                      "gpr_max_seconds", first.m.seconds, "s", ""});
+                      "gpr_max_seconds", first.seconds, "s", ""});
   findings.push_back({report::FindingKind::kPlateau, curve, "gpr_min",
-                      static_cast<double>(last.gpr_count), "GPRs", ""});
+                      static_cast<double>(last.stats.gpr_count), "GPRs", ""});
   findings.push_back({report::FindingKind::kPlateau, curve,
-                      "gpr_min_seconds", last.m.seconds, "s", ""});
+                      "gpr_min_seconds", last.seconds, "s", ""});
   findings.push_back({report::FindingKind::kRatio, curve, "register_speedup",
-                      first.m.seconds / last.m.seconds, "x", ""});
+                      first.seconds / last.seconds, "x", ""});
   result.AppendAdaptiveFindings(findings, curve, "step");
   return findings;
 }
@@ -76,7 +73,7 @@ std::vector<report::Finding> ControlFindings(
   if (control.points.empty()) return {};
   double cmin = control.points.front().m.seconds;
   double cmax = cmin;
-  for (const RegisterUsagePoint& p : control.points) {
+  for (const SweepPoint& p : control.points) {
     cmin = std::min(cmin, p.m.seconds);
     cmax = std::max(cmax, p.m.seconds);
   }

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "report/record.hpp"
 #include "suite/kernelgen.hpp"
 #include "suite/microbench.hpp"
@@ -31,17 +30,11 @@ struct RegisterUsageConfig : SweepOptions {
   Domain domain{512, 512};
   BlockShape block{64, 1};
   bool clause_control = false;  ///< true -> the Fig. 5 control kernel.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refine).
-  const adapt::Settings* adaptive = nullptr;
 };
 
-struct RegisterUsagePoint {
-  unsigned step = 0;
-  unsigned gpr_count = 0;  ///< Compiled register usage (figure x-axis).
-  Measurement m;
-};
-
-using RegisterUsageResult = SweepResult<RegisterUsagePoint>;
+/// Points are at x = the step; Figs. 16 and 17 plot each point's
+/// compiled register count, `m.stats.gpr_count`, instead.
+using RegisterUsageResult = SweepResult;
 
 /// The kernel the sweep measures at `step`, named "regusage_s<step>"
 /// (the clause-usage control appends "_clause_control").
@@ -57,8 +50,8 @@ RegisterUsageResult RunRegisterUsage(const Runner& runner, ShaderMode mode,
 /// the GPR/time endpoints ("gpr_max", "gpr_max_seconds", "gpr_min",
 /// "gpr_min_seconds") and the "register_speedup" ratio between them.
 /// Empty when the sweep produced no points.
-std::vector<report::Finding> Findings(const RegisterUsageResult& result,
-                                      const std::string& curve);
+std::vector<report::Finding> RegisterUsageFindings(
+    const RegisterUsageResult& result, const std::string& curve);
 
 /// Typed finding of a clause-control sweep (clause_control = true):
 /// "level_variation", the (max - min) / max spread of the pinned-GPR

@@ -10,7 +10,6 @@
 // file is linked only into the programs that call Supplements().
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <optional>
 #include <string>
 #include <utility>
@@ -86,11 +85,7 @@ FigureDef MakeBlockSizeExplorer() {
              config.type = key.type;
              Runner runner(key.arch);
              const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
-             Series& series = fig.set.Get(key.Name());
-             for (const BlockSizePoint& p : r.points) {
-               series.Add(std::log2(static_cast<double>(p.block.x)),
-                          p.m.seconds);
-             }
+             Plot(fig.set.Get(key.Name()), r);
              Note(fig, opts, key.Name(), r);
              Append(fig, Findings(r, key.Name()));
            }});
@@ -126,16 +121,10 @@ FigureDef MakeClauseUsageControl() {
                runner, ShaderMode::kPixel, DataType::kFloat, config);
            const std::string kernel = arch.name + " register kernel";
            const std::string control_name = arch.name + " clause control";
-           Series& s1 = fig.set.Get(kernel);
-           Series& s2 = fig.set.Get(control_name);
+           Plot(fig.set.Get(kernel), sweep);
+           Plot(fig.set.Get(control_name), control);
            Note(fig, opts, kernel, sweep);
            Note(fig, opts, control_name, control);
-           for (const RegisterUsagePoint& p : sweep.points) {
-             s1.Add(p.step, p.m.seconds);
-           }
-           for (const RegisterUsagePoint& p : control.points) {
-             s2.Add(p.step, p.m.seconds);
-           }
            if (sweep.points.empty() || control.points.empty()) return;
            fig.findings.push_back(
                {report::FindingKind::kRatio, kernel, "register_speedup",
@@ -175,26 +164,20 @@ FigureDef MakeCacheIndexAblation() {
                Runner(MakeRV770()), ShaderMode::kCompute, type, config);
            const ReadLatencyResult without_2d = RunReadLatency(
                Runner(flat), ShaderMode::kCompute, type, config);
-           Series& s1 = fig.set.Get("4870 64x1 " + type_name + " 2D-index");
-           Series& s2 =
-               fig.set.Get("4870 64x1 " + type_name + " flat-index");
+           Plot(fig.set.Get("4870 64x1 " + type_name + " 2D-index"), with_2d);
+           Plot(fig.set.Get("4870 64x1 " + type_name + " flat-index"),
+                without_2d);
            const std::string on_curve = "4870 " + type_name + " 2D-index";
            const std::string off_curve = "4870 " + type_name + " flat-index";
            Note(fig, opts, on_curve, with_2d);
            Note(fig, opts, off_curve, without_2d);
-           for (const ReadLatencyPoint& p : with_2d.points) {
-             s1.Add(p.inputs, p.m.seconds);
-           }
-           for (const ReadLatencyPoint& p : without_2d.points) {
-             s2.Add(p.inputs, p.m.seconds);
-           }
            // Paired by input count: an adaptive or faulted sweep may
            // measure different inputs on the two sides.
            bool paired = false;
            double max_gap = 0;
-           for (const ReadLatencyPoint& on : with_2d.points) {
-             for (const ReadLatencyPoint& off : without_2d.points) {
-               if (off.inputs != on.inputs) continue;
+           for (const SweepPoint& on : with_2d.points) {
+             for (const SweepPoint& off : without_2d.points) {
+               if (off.index != on.index) continue;
                paired = true;
                max_gap = std::max(max_gap, on.m.seconds / off.m.seconds);
              }
@@ -234,8 +217,8 @@ FigureDef MakeOccupancyAblation() {
                Runner(arch), ShaderMode::kPixel, DataType::kFloat,
                Quick<RegisterUsageConfig>(opts));
            Series& series = fig.set.Get(name);
-           for (const RegisterUsagePoint& p : r.points) {
-             series.Add(p.gpr_count, p.m.seconds);
+           for (const SweepPoint& p : r.points) {
+             series.Add(p.m.stats.gpr_count, p.m.seconds);
            }
            Note(fig, opts, name, r);
            if (r.points.empty()) return;
@@ -291,12 +274,8 @@ FigureDef MakeRowLocalityAblation() {
            const sim::LaunchConfig launch = sweep.Launch(
                opts.quick ? Domain{256, 256} : Domain{1024, 1024},
                shape.mode, shape.block);
-           struct Point {
-             Cycles penalty = 0;
-             Measurement m;
-           };
-           SweepResult<Point> r;
-           SweepPoints<Point>(
+           SweepResult r;
+           SweepPoints(
                kPenalties.size(),
                [](std::size_t i) { return static_cast<double>(kPenalties[i]); },
                [&](std::size_t i, unsigned attempt) {
@@ -304,18 +283,13 @@ FigureDef MakeRowLocalityAblation() {
                  arch.dram.row_switch_cycles = kPenalties[i];
                  // No point name: faults and profiles are keyed on the
                  // kernel's name.
-                 return Point{kPenalties[i],
-                              Runner(arch).Measure(kernel, launch,
-                                                   {"", attempt})};
+                 return Runner(arch).Measure(kernel, launch, {"", attempt});
                },
                [](std::size_t i) {
                  return "row_penalty_" + std::to_string(kPenalties[i]);
                },
-               sweep, opts.adaptive, r);
-           Series& series = fig.set.Get(shape.name);
-           for (const Point& p : r.points) {
-             series.Add(static_cast<double>(p.penalty), p.m.seconds);
-           }
+               sweep, r);
+           Plot(fig.set.Get(shape.name), r);
            Note(fig, opts, shape.name, r);
            if (r.points.empty()) return;
            fig.findings.push_back(
@@ -327,11 +301,6 @@ FigureDef MakeRowLocalityAblation() {
   }
   return def;
 }
-
-/// One measured frontier node, as figures::Note reads a sweep point.
-struct Node {
-  Measurement m;
-};
 
 // Figs. 7 and 16 crossed: the register-ladder kernel's bottleneck over
 // the ALU:Fetch ratio x ladder-step plane on the 4870, refined by
@@ -389,7 +358,7 @@ FigureDef MakeFrontier() {
                slots[iy * nx + ix] = std::move(m);
                return label;
              },
-             opts.adaptive, config.executor, config.retry, config.cancel);
+             config.adaptive, config.executor, config.retry, config.cancel);
          refined.frontier.x_label = "ALU:Fetch Ratio";
          refined.frontier.y_label = "Register Ladder Step";
 
@@ -417,10 +386,13 @@ FigureDef MakeFrontier() {
               "points",
               "of " + std::to_string(refined.frontier.points_dense) +
                   " dense nodes"});
-         SweepResult<Node> nodes;
+         // Note reads each node's measurement; x stays 0 on a 2D grid.
+         SweepResult nodes;
          nodes.report = std::move(refined.report);
-         for (std::optional<Measurement>& slot : slots) {
-           if (slot) nodes.points.push_back({std::move(*slot)});
+         for (std::size_t i = 0; i < slots.size(); ++i) {
+           if (slots[i]) {
+             nodes.points.push_back({.index = i, .m = std::move(*slots[i])});
+           }
          }
          Note(fig, opts, curve, nodes);
          fig.frontier = std::move(refined.frontier);

@@ -1,17 +1,17 @@
 // The one sweep shape behind every micro-benchmark runner.
 //
 // Each of the paper's micro-benchmarks (Sec. III) varies one kernel
-// parameter over a grid and asks where the bottleneck flips. Every
-// runner's config derives from SweepOptions (how a point executes) and
-// adds its grid; every result is, or derives from, SweepResult (what a
-// sweep yields) and adds its analysis.
+// parameter over a grid and asks where the bottleneck flips, so every
+// sweep yields the same record: a measurement at an x. Every runner's
+// config derives from SweepOptions (how a point executes) and adds its
+// grid; every result is, or derives from, SweepResult (what a sweep
+// yields) and adds its analysis.
 #pragma once
 
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "adapt/refiner.hpp"
@@ -39,6 +39,10 @@ struct SweepOptions {
   /// SIGTERM flag here so an interrupted run still flushes a partial
   /// figure).
   const exec::CancelToken* cancel = nullptr;
+  /// Non-null switches the sweep to adaptive refinement (adapt::Refine):
+  /// only the coarse pass plus bisection points around bottleneck flips
+  /// are measured. Dense output is unchanged when null.
+  const adapt::Settings* adaptive = nullptr;
 
   /// One point's launch, with these options' repetitions and profiling.
   sim::LaunchConfig Launch(Domain domain, ShaderMode mode,
@@ -53,10 +57,16 @@ struct SweepOptions {
   }
 };
 
-/// What every sweep yields. `Point` is a struct with a Measurement `m`.
-template <typename Point>
+/// One measured point of a sweep.
+struct SweepPoint {
+  std::size_t index = 0;  ///< Grid index.
+  double x = 0.0;         ///< The sweep's x_of(index).
+  Measurement m;
+};
+
+/// What every sweep yields.
 struct SweepResult {
-  std::vector<Point> points;  ///< Successful points only, in grid order.
+  std::vector<SweepPoint> points;  ///< Successful points only, in grid order.
   /// Per-point outcome (ok / retried / skipped) of the whole sweep.
   exec::RunReport report;
   /// Refinement record (points spent, typed transitions); present only
@@ -67,11 +77,7 @@ struct SweepResult {
   /// nothing for a dense sweep, so dense documents stay byte-identical.
   void AppendAdaptiveFindings(std::vector<report::Finding>& findings,
                               const std::string& curve,
-                              const std::string& unit) const {
-    if (!adaptive.has_value()) return;
-    const auto extra = adapt::AdaptiveFindings(*adaptive, curve, unit);
-    findings.insert(findings.end(), extra.begin(), extra.end());
-  }
+                              const std::string& unit) const;
 };
 
 /// Sweeps grid indices 0 .. count-1 with adapt::Refine into `result`:
@@ -79,38 +85,15 @@ struct SweepResult {
 /// point labelled `label_of(index)`, and the refinement record of
 /// adaptive sweeps only.
 ///
-/// - `measure(index, attempt)` measures one Point; its bottleneck
+/// - `measure(index, attempt)` measures one point; its bottleneck
 ///   verdict is the label refinement bisects on. `x_of(index)` is the
-///   index's x coordinate.
-/// - `options`' executor, retry and cancel act as in MapWithPolicy.
-/// - `adaptive` null sweeps the whole grid in one wave; otherwise it
-///   holds the refinement settings.
-template <typename Point>
-void SweepPoints(std::size_t count, const adapt::XOfFn& x_of,
-                 const std::function<Point(std::size_t, unsigned)>& measure,
-                 const std::function<std::string(std::size_t)>& label_of,
-                 const SweepOptions& options,
-                 const adapt::Settings* adaptive,
-                 SweepResult<Point>& result) {
-  // Waves touch distinct indices, so the slot writes never race.
-  std::vector<std::optional<Point>> slots(count);
-  adapt::Outcome refined = adapt::Refine(
-      count, x_of,
-      [&](std::size_t i, unsigned attempt) {
-        Point point = measure(i, attempt);
-        std::string label(sim::ToString(point.m.stats.bottleneck));
-        slots[i] = std::move(point);
-        return label;
-      },
-      adaptive, options.executor, options.retry, options.cancel,
-      &result.report);
-  for (exec::PointOutcome& p : result.report.points) {
-    p.label = label_of(p.index);
-  }
-  for (std::optional<Point>& slot : slots) {
-    if (slot) result.points.push_back(std::move(*slot));
-  }
-  if (adaptive != nullptr) result.adaptive = std::move(refined);
-}
+///   index's x coordinate, recorded on the point.
+/// - `options`' executor, retry and cancel act as in MapWithPolicy;
+///   its `adaptive` settings, null for a dense sweep, go to Refine.
+void SweepPoints(
+    std::size_t count, const adapt::XOfFn& x_of,
+    const std::function<Measurement(std::size_t, unsigned)>& measure,
+    const std::function<std::string(std::size_t)>& label_of,
+    const SweepOptions& options, SweepResult& result);
 
 }  // namespace amdmb::suite

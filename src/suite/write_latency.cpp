@@ -38,22 +38,20 @@ WriteLatencyResult RunWriteLatency(const Runner& runner, ShaderMode mode,
     return "writelat_out" + std::to_string(outputs_of(i));
   };
   WriteLatencyResult result;
-  SweepPoints<WriteLatencyPoint>(
+  SweepPoints(
       config.max_outputs - config.min_outputs + 1,
       [&](std::size_t i) { return static_cast<double>(outputs_of(i)); },
       [&](std::size_t i, unsigned attempt) {
-        return WriteLatencyPoint{
-            outputs_of(i),
-            runner.Measure(
-                WriteLatencyKernel(config, mode, type, outputs_of(i)), launch,
-                {name_of(i), attempt})};
+        return runner.Measure(
+            WriteLatencyKernel(config, mode, type, outputs_of(i)), launch,
+            {name_of(i), attempt});
       },
-      name_of, config, config.adaptive, result);
+      name_of, config, result);
 
   std::vector<double> xs;
   std::vector<double> ys;
-  for (const WriteLatencyPoint& point : result.points) {
-    xs.push_back(point.outputs);
+  for (const SweepPoint& point : result.points) {
+    xs.push_back(point.x);
     ys.push_back(point.m.seconds);
   }
   result.fit = FitLine(xs, ys);

@@ -10,7 +10,6 @@
 
 #include <vector>
 
-#include "adapt/refiner.hpp"
 #include "common/stats.hpp"
 #include "report/record.hpp"
 #include "suite/microbench.hpp"
@@ -26,18 +25,11 @@ struct WriteLatencyConfig : SweepOptions {
   Domain domain{1024, 1024};
   BlockShape block{64, 1};
   WritePath write_path = WritePath::kStream;  ///< kGlobal for Fig. 14.
-  /// Non-null switches the sweep to adaptive refinement (adapt::Refine);
-  /// the latency fit then uses only the refined points.
-  const adapt::Settings* adaptive = nullptr;
 };
 
-struct WriteLatencyPoint {
-  unsigned outputs = 0;
-  Measurement m;
-};
-
-struct WriteLatencyResult : SweepResult<WriteLatencyPoint> {
-  LineFit fit;  ///< seconds vs outputs.
+/// Points are at x = the output count.
+struct WriteLatencyResult : SweepResult {
+  LineFit fit;  ///< seconds vs outputs, over the measured points only.
 };
 
 /// The kernel the sweep measures at `outputs`, named

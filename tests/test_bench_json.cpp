@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/status.hpp"
 #include "report/json.hpp"
 #include "report/json_sink.hpp"
 #include "report/record.hpp"
@@ -118,6 +119,10 @@ TEST(BenchJsonTest, WritesBenchFileNamedAfterSlug) {
   report::Figure figure("Figs. 11-12 — Read latency", "Read latency",
                         "inputs", "seconds", "claim");
   figure.set.Get("a").Add(1, 2.0);
+  // The program checks its output directory once; the writer does not
+  // create one.
+  EXPECT_THROW(WriteBenchJson(figure, dir), ConfigError);
+  std::filesystem::create_directories(dir);
   const std::filesystem::path file = WriteBenchJson(figure, dir);
   EXPECT_EQ(file.filename().string(), "BENCH_figs_11_12.json");
   std::ifstream in(file);

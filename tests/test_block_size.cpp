@@ -1,6 +1,8 @@
 // Tests for the block-size explorer extension.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/status.hpp"
 #include "suite/block_size.hpp"
 
@@ -27,7 +29,7 @@ TEST(BlockExplorerTest, FindsTwoDimensionalOptimum) {
   EXPECT_GT(r.best.y, 1u);
   EXPECT_LT(r.best.y, 64u);  // Fully vertical is as bad as horizontal.
   // Best really is the minimum of the sweep.
-  for (const BlockSizePoint& p : r.points) {
+  for (const SweepPoint& p : r.points) {
     EXPECT_GE(p.m.seconds, r.best_seconds * 0.999);
   }
 }
@@ -37,9 +39,10 @@ TEST(BlockExplorerTest, SquareishShapesBeatExtremes) {
   BlockSizeConfig config;
   config.domain = Domain{256, 256};
   const BlockSizeResult r = RunBlockSizeExplorer(runner, config);
+  // A point's x is log2 of its shape's width.
   auto seconds_of = [&](BlockShape shape) {
-    for (const BlockSizePoint& p : r.points) {
-      if (p.block == shape) return p.m.seconds;
+    for (const SweepPoint& p : r.points) {
+      if (p.x == std::log2(static_cast<double>(shape.x))) return p.m.seconds;
     }
     throw SimError("shape missing from sweep");
   };

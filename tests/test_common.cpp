@@ -43,28 +43,6 @@ TEST(StatusTest, RequireThrowsConfigError) {
   EXPECT_THROW(Require(false, "bad config"), ConfigError);
 }
 
-TEST(RunningStatTest, MeanVarianceMinMax) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(x);
-  EXPECT_EQ(s.Count(), 8u);
-  EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
-  EXPECT_NEAR(s.Variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.Min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.Sum(), 40.0);
-}
-
-TEST(RunningStatTest, EmptyAndSingle) {
-  RunningStat s;
-  EXPECT_EQ(s.Count(), 0u);
-  EXPECT_EQ(s.Mean(), 0.0);
-  EXPECT_EQ(s.Variance(), 0.0);
-  s.Add(3.5);
-  EXPECT_EQ(s.Mean(), 3.5);
-  EXPECT_EQ(s.Variance(), 0.0);
-  EXPECT_EQ(s.StdDev(), 0.0);
-}
-
 TEST(LineFitTest, ExactLine) {
   const LineFit f = FitLine({1, 2, 3, 4}, {3, 5, 7, 9});
   EXPECT_NEAR(f.slope, 2.0, 1e-12);

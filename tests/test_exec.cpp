@@ -408,7 +408,7 @@ TEST(ExecDeterminismTest, AluFetchSweepBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(a.points.size(), b.points.size());
   EXPECT_EQ(a.crossover, b.crossover);
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].ratio, b.points[i].ratio);
+    EXPECT_EQ(a.points[i].x, b.points[i].x);
     EXPECT_EQ(a.points[i].m.stats, b.points[i].m.stats)
         << "KernelStats diverge at point " << i;
   }
@@ -457,21 +457,21 @@ TEST(ExecFaultResilienceTest, AluFetchSweepDegradesDeterministically) {
   // Surviving points are byte-identical between widths...
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].ratio, b.points[i].ratio);
+    EXPECT_EQ(a.points[i].x, b.points[i].x);
     EXPECT_EQ(a.points[i].m.stats, b.points[i].m.stats);
   }
   // ...and byte-identical to the fault-free run (faults never corrupt a
   // measurement — a point either fails or computes the true value).
-  for (const suite::AluFetchPoint& p : a.points) {
+  for (const suite::SweepPoint& p : a.points) {
     bool matched = false;
-    for (const suite::AluFetchPoint& ref : clean.points) {
-      if (ref.ratio == p.ratio) {
+    for (const suite::SweepPoint& ref : clean.points) {
+      if (ref.x == p.x) {
         EXPECT_EQ(p.m.stats, ref.m.stats);
         matched = true;
         break;
       }
     }
-    EXPECT_TRUE(matched) << "no clean counterpart for ratio " << p.ratio;
+    EXPECT_TRUE(matched) << "no clean counterpart for ratio " << p.x;
   }
 
   // Two identical faulted runs agree exactly (fixed seed -> identical

@@ -156,10 +156,6 @@ TEST(FaultInjectorTest, FiresAtRoughlyTheConfiguredRate) {
   for (const bool f : schedule) fired += f ? 1 : 0;
   EXPECT_GT(fired, 4000u * 25 / 100 / 2);
   EXPECT_LT(fired, 4000u * 25 / 100 * 2);
-  const auto stats = injector.Stats();
-  const auto site = static_cast<std::size_t>(FaultSite::kLaunch);
-  EXPECT_EQ(stats.checks[site], 4000u);
-  EXPECT_EQ(stats.injected[site], fired);
 }
 
 // ---- Scoped install ----------------------------------------------------

@@ -170,7 +170,7 @@ TEST(Fig10, WritePathNegligibleWithOneOutput) {
       RunAluFetch(runner, ShaderMode::kPixel, DataType::kFloat, global);
   for (std::size_t i = 0; i < a.points.size(); i += 4) {
     EXPECT_NEAR(b.points[i].m.seconds / a.points[i].m.seconds, 1.0, 0.1)
-        << "ratio " << a.points[i].ratio;
+        << "ratio " << a.points[i].x;
   }
 }
 
@@ -296,7 +296,7 @@ TEST(Fig15, OverallLinearAndTypeIndependent) {
   // ALU-bound: float == float4 (Sec. IV-D).
   for (std::size_t i = 0; i < f.points.size(); ++i) {
     EXPECT_NEAR(f4.points[i].m.seconds / f.points[i].m.seconds, 1.0, 0.08)
-        << "size " << f.points[i].size;
+        << "size " << f.points[i].x;
   }
   // Time tracks the thread count.
   const double grow = f.points.back().m.seconds / f.points.front().m.seconds;
@@ -340,11 +340,11 @@ TEST(Fig5Control, ClauseUsageKernelIsFlat) {
       RunRegisterUsage(runner, ShaderMode::kPixel, DataType::kFloat, config);
   double lo = control.points.front().m.seconds;
   double hi = lo;
-  for (const RegisterUsagePoint& p : control.points) {
+  for (const SweepPoint& p : control.points) {
     lo = std::min(lo, p.m.seconds);
     hi = std::max(hi, p.m.seconds);
     // Control kernel's GPRs do not fall with step.
-    EXPECT_GE(p.gpr_count, 63u);
+    EXPECT_GE(p.m.stats.gpr_count, 63u);
   }
   EXPECT_LT(hi / lo, 1.2);
   // The control shows *no gain* at low register pressure, while the real

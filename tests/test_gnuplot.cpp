@@ -33,6 +33,7 @@ TEST(GnuplotTest, WritesDatAndScriptFiles) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_gnuplot_test";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   const std::filesystem::path gp = WriteGnuplot(SampleFigure(), dir, "fig");
   EXPECT_TRUE(std::filesystem::exists(gp));
   EXPECT_TRUE(std::filesystem::exists(dir / "fig.dat"));
@@ -64,6 +65,7 @@ TEST(GnuplotTest, WritesFrontierHeatmapWithStableCodes) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_gnuplot_frontier";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   const std::filesystem::path gp =
       WriteFrontierGnuplot(SampleFrontier(), dir, "fig");
   EXPECT_TRUE(std::filesystem::exists(gp));
@@ -93,6 +95,7 @@ TEST(GnuplotTest, SinkEmitsFrontierAlongsideTheLinePlot) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_gnuplot_sink_frontier";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   report::Figure figure("Fig. 99 — test", "t", "x", "y", "claim");
   figure.set.Get("a").Add(1, 2);
   figure.frontier = SampleFrontier();

@@ -182,15 +182,15 @@ TEST(ProfDeterminismTest, RetriedPointsDoNotDoubleCount) {
       RunReadLatency(runner, ShaderMode::kPixel, DataType::kFloat, config);
 
   unsigned retried = 0;
-  for (const suite::ReadLatencyPoint& fp : faulty.points) {
+  for (const suite::SweepPoint& fp : faulty.points) {
     ASSERT_NE(fp.m.profile, nullptr);
     if (fp.m.profile->attempt > 1) ++retried;
-    for (const suite::ReadLatencyPoint& cp : clean.points) {
-      if (cp.inputs != fp.inputs) continue;
+    for (const suite::SweepPoint& cp : clean.points) {
+      if (cp.index != fp.index) continue;
       // A fresh collector rides every attempt, so the surviving
       // attempt's counters match the fault-free run exactly.
       EXPECT_EQ(fp.m.profile->counters, cp.m.profile->counters)
-          << "inputs=" << fp.inputs;
+          << "inputs=" << fp.x;
       EXPECT_EQ(fp.m.profile->attribution, cp.m.profile->attribution);
     }
   }

@@ -3,6 +3,7 @@
 // paper-expectation checks, and the cross-figure markdown aggregator.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -209,6 +210,21 @@ TEST(JsonParserTest, IntegerConversionsCheckTheirRange) {
   EXPECT_THROW(AsI64(*doc.Find("frac"), "frac", -5, 5), ConfigError);
 }
 
+// Numbers follow RFC 8259: no sign but '-', no leading zero, and digits
+// on both sides of a decimal point.
+TEST(JsonParserTest, NumbersFollowTheJsonGrammar) {
+  for (const char* bad : {"+1", "01", "-01", ".5", "1.", "1.e5"}) {
+    EXPECT_THROW(JsonValue::Parse(bad), ConfigError) << bad;
+    EXPECT_THROW(JsonValue::Parse(std::string("[") + bad + "]"), ConfigError)
+        << bad;
+  }
+  EXPECT_EQ(JsonValue::Parse("0").AsNumber(), 0.0);
+  EXPECT_TRUE(std::signbit(JsonValue::Parse("-0").AsNumber()));
+  EXPECT_EQ(JsonValue::Parse("-12").AsNumber(), -12.0);
+  EXPECT_DOUBLE_EQ(JsonValue::Parse("1.5e-3").AsNumber(), 1.5e-3);
+  EXPECT_EQ(JsonValue::Parse("1E+2").AsNumber(), 100.0);
+}
+
 // ---- CSV sink golden file ----------------------------------------------
 
 TEST(CsvSinkTest, MatchesGoldenOutput) {
@@ -229,6 +245,7 @@ TEST(CsvSinkTest, WritesFileNamedAfterSlug) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_csv_test";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   const Figure figure = SampleFigure();
   std::ostringstream log;
   WriteFiles(figure, std::nullopt, dir, log);
@@ -247,6 +264,7 @@ TEST(WriteFilesTest, CurvelessFigureWritesOnlyItsDocument) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_csv_curveless_test";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   Figure table("Table I", "GPU Hardware Features", "row", "value", "claim");
   std::ostringstream log;
   WriteFiles(table, dir, dir, log);
@@ -372,6 +390,7 @@ TEST(AggregateTest, MergesADirectoryIntoMarkdown) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "amdmb_aggregate_test";
   std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
   WriteBenchJson(SampleFigure(), dir);
   Figure other("Ablation — Clause Usage Control (paper Fig. 5)", "t", "x",
                "y", "flat");

@@ -305,6 +305,35 @@ TEST(ServeProtocol, StatsRoundTripPreservesEveryField) {
       ParseStats(ParseEvent(SerializeStats(solo)).body).workers.empty());
 }
 
+// Every count is a checked integer: a value out of range is a typed
+// error naming its key, never an undefined float-to-integer cast.
+TEST(ServeProtocol, ParseStatsRejectsCountsOutOfRange) {
+  for (const char* bad : {"1e30", "-1", "1.5"}) {
+    for (const std::string key : {"queue_depth", "in_flight", "completed"}) {
+      const std::string line =
+          R"({"event":"stats",")" + key + "\":" + bad + "}";
+      try {
+        ParseStats(ParseEvent(line).body);
+        ADD_FAILURE() << line << " parsed";
+      } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_THROW(
+        ParseStats(ParseEvent(std::string(R"({"event":"stats","workers":)") +
+                              R"([{"index":0,"restarts":)" + bad + "}]}")
+                       .body),
+        ConfigError)
+        << bad;
+  }
+  const ServeStats dead = ParseStats(
+      ParseEvent(R"({"event":"stats","workers":[{"index":1,"pid": -1}]})")
+          .body);
+  ASSERT_EQ(dead.workers.size(), 1u);
+  EXPECT_EQ(dead.workers[0].pid, -1);
+}
+
 // ---------------------------------------------------------------- registry
 
 TEST(FigureRegistry, NormalizeSlugUnifiesSpellings) {
@@ -1198,6 +1227,11 @@ TEST(ServeServer, MalformedRequestLineGetsTypedProtocolError) {
   ASSERT_TRUE(raw.WriteLine(R"({"op":"stats"})"));
   ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
   EXPECT_EQ(ParseEvent(line).type, EventType::kStats);
+  // A number JSON forbids is garbage too.
+  ASSERT_TRUE(
+      raw.WriteLine(R"({"op":"submit","figure":"fig_7","priority":+1})"));
+  ASSERT_EQ(raw.ReadLine(&line, 5000), ReadStatus::kLine);
+  EXPECT_EQ(ParseEvent(line).body.StringOr("kind", ""), "protocol_error");
   server.Drain();
 }
 

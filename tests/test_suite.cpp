@@ -26,6 +26,68 @@ TEST(RunnerTest, MeasureReturnsConsistentData) {
   EXPECT_DOUBLE_EQ(m.ska.alu_fetch_ratio, 1.0);
 }
 
+// ---- The sweep record ---------------------------------------------------
+
+// A point that fails is absent, not shifted: every point keeps its grid
+// index and records x_of(index).
+TEST(SweepPointsTest, DenseSweepSkipsTheFailedIndexAndKeepsEachX) {
+  const exec::SweepExecutor serial(1);
+  SweepOptions options;
+  options.executor = &serial;
+  options.retry = exec::RetryPolicy{};
+  options.retry.max_attempts = 1;
+  const auto x_of = [](std::size_t i) { return 0.5 * static_cast<double>(i); };
+  SweepResult result;
+  SweepPoints(
+      6, x_of,
+      [](std::size_t i, unsigned) {
+        if (i == 2) throw TransientError("index 2 always fails");
+        Measurement m;
+        m.seconds = static_cast<double>(i);
+        return m;
+      },
+      [](std::size_t i) { return "p" + std::to_string(i); }, options, result);
+  ASSERT_EQ(result.points.size(), 5u);
+  for (const SweepPoint& p : result.points) {
+    EXPECT_NE(p.index, 2u);
+    EXPECT_EQ(p.x, x_of(p.index));
+    EXPECT_EQ(p.m.seconds, static_cast<double>(p.index));
+  }
+  EXPECT_FALSE(result.report.AllOk());
+  EXPECT_FALSE(result.adaptive.has_value());
+}
+
+TEST(SweepPointsTest, AdaptiveSweepKeepsEachX) {
+  const exec::SweepExecutor serial(1);
+  const adapt::Settings settings;
+  SweepOptions options;
+  options.executor = &serial;
+  options.adaptive = &settings;
+  const auto x_of = [](std::size_t i) {
+    return 0.25 + 0.25 * static_cast<double>(i);
+  };
+  SweepResult result;
+  SweepPoints(
+      32, x_of,
+      [](std::size_t i, unsigned) {
+        Measurement m;
+        m.stats.bottleneck =
+            i < 19 ? sim::Bottleneck::kFetch : sim::Bottleneck::kAlu;
+        return m;
+      },
+      [](std::size_t i) { return "p" + std::to_string(i); }, options, result);
+  ASSERT_TRUE(result.adaptive.has_value());
+  EXPECT_EQ(result.points.size(), result.adaptive->points_spent);
+  EXPECT_LT(result.points.size(), 32u);
+  for (std::size_t k = 0; k < result.points.size(); ++k) {
+    const SweepPoint& p = result.points[k];
+    EXPECT_EQ(p.x, x_of(p.index));
+    if (k > 0) {
+      EXPECT_LT(result.points[k - 1].index, p.index);
+    }
+  }
+}
+
 TEST(CurveKeyTest, PaperLegendNames) {
   const CurveKey key{MakeRV770(), ShaderMode::kPixel, DataType::kFloat};
   EXPECT_EQ(key.Name(), "4870 Pixel Float");
@@ -58,8 +120,8 @@ TEST(AluFetchTest, SweepFindsCrossoverAndIsMonotoneAtTail) {
   // Once ALU-bound, time grows with the ratio.
   bool past = false;
   double prev = 0.0;
-  for (const AluFetchPoint& p : r.points) {
-    if (p.ratio >= *r.crossover + 1.0) {
+  for (const SweepPoint& p : r.points) {
+    if (p.x >= *r.crossover + 1.0) {
       if (past) {
         EXPECT_GT(p.m.seconds, prev);
       }
@@ -86,9 +148,9 @@ TEST(ReadLatencyTest, KernelsStayFetchBound) {
   config.domain = kSmall;
   const ReadLatencyResult r =
       RunReadLatency(runner, ShaderMode::kPixel, DataType::kFloat4, config);
-  for (const ReadLatencyPoint& p : r.points) {
+  for (const SweepPoint& p : r.points) {
     EXPECT_NE(p.m.stats.bottleneck, sim::Bottleneck::kAlu)
-        << "inputs=" << p.inputs;
+        << "inputs=" << p.x;
   }
 }
 
@@ -100,7 +162,7 @@ TEST(WriteLatencyTest, LinearTailAndPinnedGprs) {
       RunWriteLatency(runner, ShaderMode::kPixel, DataType::kFloat4, config);
   ASSERT_EQ(r.points.size(), 8u);
   const unsigned gpr = r.points.front().m.stats.gpr_count;
-  for (const WriteLatencyPoint& p : r.points) {
+  for (const SweepPoint& p : r.points) {
     EXPECT_EQ(p.m.stats.gpr_count, gpr);
   }
   EXPECT_GE(r.points.back().m.seconds, r.points.front().m.seconds);
@@ -126,7 +188,7 @@ TEST(DomainSizeTest, TimeGrowsOverSweep) {
   ASSERT_EQ(r.points.size(), 5u);
   EXPECT_GT(r.points.back().m.seconds, r.points.front().m.seconds * 2.0);
   // ALU:Fetch 10 -> always ALU-bound (Sec. III-D).
-  for (const DomainSizePoint& p : r.points) {
+  for (const SweepPoint& p : r.points) {
     EXPECT_EQ(p.m.stats.bottleneck, sim::Bottleneck::kAlu);
   }
 }
@@ -138,8 +200,8 @@ TEST(RegisterUsageTest, GprAxisMatchesPaperRange) {
   const RegisterUsageResult r =
       RunRegisterUsage(runner, ShaderMode::kPixel, DataType::kFloat, config);
   ASSERT_EQ(r.points.size(), 8u);
-  EXPECT_GE(r.points.front().gpr_count, 63u);
-  EXPECT_LE(r.points.back().gpr_count, 12u);
+  EXPECT_GE(r.points.front().m.stats.gpr_count, 63u);
+  EXPECT_LE(r.points.back().m.stats.gpr_count, 12u);
 }
 
 TEST(AdvisorTest, SuggestionsTrackBottleneck) {

@@ -32,6 +32,7 @@
 #include "common/version.hpp"
 #include "report/json_sink.hpp"
 #include "report/output.hpp"
+#include "report/sink.hpp"
 #include "suite/figures.hpp"
 
 namespace {
@@ -138,6 +139,7 @@ int RunFigure(const std::string& slug, bool quick, adapt::Settings settings,
     std::cerr << "error: unknown figure slug: " << slug << "\n";
     return 2;
   }
+  report::EnsureOutputDirectories(/*figure_files=*/false);
   suite::figures::RunOptions dense_opts;
   dense_opts.quick = quick;
   const report::Figure dense = suite::figures::Build(*def, dense_opts);
@@ -187,6 +189,7 @@ int RunFrontier(bool dense, bool quick, const adapt::Settings& settings,
                 bool json) {
   const suite::figures::FigureDef* def = suite::figures::Find(
       "frontier_alu_fetch_x_gpr", suite::figures::Supplements());
+  report::EnsureOutputDirectories(/*figure_files=*/true);
   suite::figures::RunOptions opts;
   opts.quick = quick;
   opts.adaptive = dense ? nullptr : &settings;

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "amdmb.hpp"
-#include "common/env.hpp"
 #include "common/version.hpp"
 #include "prof/profile_json.hpp"
 #include "report/sink.hpp"
@@ -165,9 +164,7 @@ int main(int argc, char** argv) {
       throw ConfigError("amdmb_prof: unknown document '" + document +
                         "' (see --list)");
     }
-    if (const auto& dir = env::Get().trace_dir) {
-      report::EnsureWritableDirectory(*dir, "AMDMB_TRACE_DIR");
-    }
+    report::EnsureOutputDirectories(/*figure_files=*/false);
 
     // Every profiled point's "<curve>/<point>" label and attributed
     // bottleneck; only the selected point's rendering is kept.
