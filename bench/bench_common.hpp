@@ -49,13 +49,15 @@ inline void Print(const report::Figure& figure) {
   std::cout.flush();
 }
 
-/// Builds the documents named by `slugs` and prints each one. Returns 1
-/// with an `error:` line, before any sweep runs, when an argument is
-/// given, a knob is malformed, an output directory is unusable or a
-/// slug is unknown. SIGINT/SIGTERM stop the build between sweep points
-/// and curves; every document is still printed, with an "interrupted"
+/// Builds the documents named by `slugs` and prints each one, after
+/// `preamble` (printed as is). Returns 1 with an `error:` line and
+/// nothing on stdout, before any sweep runs, when an argument is given,
+/// a knob is malformed, an output directory is unusable or a slug is
+/// unknown. SIGINT/SIGTERM stop the build between sweep points and
+/// curves; every document is still printed, with an "interrupted"
 /// finding, and the exit code is 130.
-inline int Main(int argc, char** argv, const std::vector<std::string>& slugs) {
+inline int Main(int argc, char** argv, const std::vector<std::string>& slugs,
+                const std::string& preamble = "") {
   namespace figures = suite::figures;
   std::vector<const figures::FigureDef*> defs;
   try {
@@ -73,6 +75,7 @@ inline int Main(int argc, char** argv, const std::vector<std::string>& slugs) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
+  std::cout << preamble;
 
   static exec::CancelToken interrupt;
   InstallInterruptHandlers();

@@ -6,6 +6,6 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
-  std::cout << amdmb::RenderHardwareTable() << "\n";
-  return amdmb::bench::Main(argc, argv, {"table_i"});
+  return amdmb::bench::Main(argc, argv, {"table_i"},
+                            amdmb::RenderHardwareTable() + "\n");
 }

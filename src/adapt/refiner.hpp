@@ -59,7 +59,10 @@ struct Settings {
   /// included (0 = unlimited). When the cap bites, waves are truncated
   /// lowest-index-first, so the truncation itself is deterministic.
   std::uint64_t budget = 0;
-  /// Called after every completed wave, on the sweep thread.
+  /// Called after every completed wave, on the sweep thread. Under
+  /// figures::Build the calls are recorded per curve and replayed on
+  /// Build's calling thread, in curve order, before that curve's
+  /// on_curve.
   std::function<void(const WaveInfo&)> on_wave;
 
   /// tol_steps/budget from the centralized env snapshot (env::Get()).

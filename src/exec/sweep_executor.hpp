@@ -14,16 +14,20 @@
 // abort the sweep or degrade it to partial results with a RunReport of
 // what happened (see run_report.hpp).
 //
-// Nested Map calls from inside a pool worker run inline (serially) —
-// a saturated fixed-size pool cannot service tasks submitted by tasks
-// that are themselves blocking on completion.
+// A map started inside a pool task goes through the pool like any other:
+// the threads running it claim points one at a time, and before each
+// claim a thread first runs any queued task more urgent than its own
+// (ThreadPool ranks). A map waits only for points that a helper has
+// already claimed, and RunInOrder waits only for tasks that another
+// thread has already started, so no thread ever waits on a task that
+// has not started, and no wait can deadlock, however the maps nest.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <exception>
-#include <future>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -195,40 +199,26 @@ class SweepExecutor {
     return slots;
   }
 
+  /// Runs `task(0) .. task(n-1)` as pool tasks, task i at rank i (see
+  /// ThreadPool), and calls `emit(i)` on the calling thread in index
+  /// order, each once task i has finished. The calling thread runs a
+  /// task nobody has started itself instead of waiting for it. Once
+  /// `emit` returns false or throws, no further task starts; either way
+  /// RunInOrder returns (or rethrows) only after every started task has
+  /// finished. `task` must not throw. Without a pool, task(i) and
+  /// emit(i) alternate on the calling thread.
+  void RunInOrder(std::size_t n, const std::function<void(std::size_t)>& task,
+                  const std::function<bool(std::size_t)>& emit) const;
+
  private:
+  /// The pool a map fans out to; nullptr runs everything inline.
+  ThreadPool* Pool() const;
+
   /// Runs `body(0) .. body(n-1)`, possibly concurrently, returning after
   /// every index has finished. `body` must not throw — callers catch per
   /// index.
-  template <typename Body>
-  void ForEachIndex(std::size_t n, Body&& body) const {
-    const unsigned width = ThreadCount();
-    if (width <= 1 || n <= 1 || OnPoolThread()) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-      return;
-    }
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        body(i);
-      }
-    };
-    // width - 1 pool workers plus the calling thread; the futures keep
-    // every task's stack references alive until we return.
-    const std::size_t spawned =
-        std::min<std::size_t>(width - 1, n > 0 ? n - 1 : 0);
-    ThreadPool& pool = shared_ ? SharedPool() : *pool_;
-    std::vector<std::future<void>> joined;
-    joined.reserve(spawned);
-    for (std::size_t t = 0; t < spawned; ++t) {
-      auto task = std::make_shared<std::packaged_task<void()>>(worker);
-      joined.push_back(task->get_future());
-      pool.Submit([task] { (*task)(); });
-    }
-    worker();
-    for (std::future<void>& f : joined) f.get();
-  }
+  void ForEachIndex(std::size_t n,
+                    const std::function<void(std::size_t)>& body) const;
 
   static void ThrowIfAnyFailed(const std::vector<std::exception_ptr>& errors) {
     std::vector<PointFailure> failures;

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <string>
+#include <tuple>
 
 #include "common/env.hpp"
 #include "common/status.hpp"
@@ -11,7 +13,15 @@ namespace amdmb::exec {
 
 namespace {
 
-thread_local bool tls_on_pool_thread = false;
+thread_local std::size_t tls_rank = 0;
+
+/// Heap order: the greater element is the less urgent one.
+struct LessUrgent {
+  template <typename Task>
+  bool operator()(const Task& a, const Task& b) const {
+    return std::tie(a.rank, a.seq) > std::tie(b.rank, b.seq);
+  }
+};
 
 }  // namespace
 
@@ -21,7 +31,11 @@ unsigned DefaultThreadCount() {
   return hw == 0 ? 1 : hw;
 }
 
-bool OnPoolThread() { return tls_on_pool_thread; }
+ScopedRank::ScopedRank(std::size_t rank) : saved_(tls_rank) {
+  tls_rank = rank;
+}
+
+ScopedRank::~ScopedRank() { tls_rank = saved_; }
 
 ThreadPool::ThreadPool(unsigned threads) {
   Require(threads >= 1, "ThreadPool: needs at least one worker");
@@ -41,26 +55,52 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  Submit(std::move(task), tls_rank);
+}
+
+void ThreadPool::Submit(std::function<void()> task, std::size_t rank) {
   {
     const std::lock_guard lock(mutex_);
     Check(!stopping_, "ThreadPool::Submit: pool is shutting down");
-    queue_.push_back(std::move(task));
+    queue_.push_back({rank, next_seq_++, std::move(task)});
+    std::push_heap(queue_.begin(), queue_.end(), LessUrgent{});
   }
   wake_.notify_one();
 }
 
-void ThreadPool::WorkerLoop() {
-  tls_on_pool_thread = true;
+ThreadPool::Queued ThreadPool::PopLocked() {
+  std::pop_heap(queue_.begin(), queue_.end(), LessUrgent{});
+  Queued next = std::move(queue_.back());
+  queue_.pop_back();
+  return next;
+}
+
+void ThreadPool::RunMoreUrgent() {
+  const std::size_t rank = tls_rank;
+  if (rank == 0) return;  // Nothing is more urgent.
   for (;;) {
-    std::function<void()> task;
+    Queued next;
+    {
+      const std::lock_guard lock(mutex_);
+      if (queue_.empty() || queue_.front().rank >= rank) return;
+      next = PopLocked();
+    }
+    const ScopedRank at(next.rank);
+    next.task();
+  }
+}
+
+void ThreadPool::WorkerLoop() {
+  for (;;) {
+    Queued next;
     {
       std::unique_lock lock(mutex_);
       wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping_ and drained.
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      next = PopLocked();
     }
-    task();
+    const ScopedRank at(next.rank);
+    next.task();
   }
 }
 

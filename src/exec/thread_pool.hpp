@@ -4,14 +4,20 @@
 // size comes from the AMDMB_THREADS environment variable, defaulting to
 // the hardware concurrency. Tasks are plain functions; completion and
 // result plumbing live one level up in SweepExecutor.
+//
+// Every task has a rank; a lower rank is more urgent. Workers take
+// queued tasks by rank, then in submission order. A thread runs each
+// task at the task's rank, and a task submitted without a rank inherits
+// the submitting thread's (0 outside any task). figures::Build ranks
+// each curve by its index, so every sweep point of curve 0 goes ahead
+// of curve 1's, and so on.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,10 +28,19 @@ namespace amdmb::exec {
 /// hardware concurrency, else 1.
 unsigned DefaultThreadCount();
 
-/// True while the calling thread is one of a ThreadPool's workers. Used
-/// to run nested sweeps inline instead of deadlocking on a saturated
-/// pool.
-bool OnPoolThread();
+/// Runs the calling thread at `rank` while in scope, then restores its
+/// previous rank.
+class ScopedRank {
+ public:
+  explicit ScopedRank(std::size_t rank);
+  ~ScopedRank();
+
+  ScopedRank(const ScopedRank&) = delete;
+  ScopedRank& operator=(const ScopedRank&) = delete;
+
+ private:
+  std::size_t saved_;
+};
 
 class ThreadPool {
  public:
@@ -38,20 +53,39 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw (SweepExecutor catches per
-  /// point); a task that escapes with an exception terminates.
+  /// Enqueues a task at the calling thread's rank. Tasks must not throw
+  /// (SweepExecutor catches per point); a task that escapes with an
+  /// exception terminates.
   void Submit(std::function<void()> task);
+
+  /// Enqueues a task at `rank`.
+  void Submit(std::function<void()> task, std::size_t rank);
+
+  /// Runs queued tasks more urgent than the calling thread's rank on the
+  /// calling thread, most urgent first, until none is left. A thread
+  /// running a map calls this before it claims each point.
+  void RunMoreUrgent();
 
   unsigned ThreadCount() const {
     return static_cast<unsigned>(workers_.size());
   }
 
  private:
+  struct Queued {
+    std::size_t rank = 0;
+    std::uint64_t seq = 0;
+    std::function<void()> task;
+  };
+
+  /// Removes and returns the most urgent task. Caller holds mutex_ and
+  /// has checked that the queue is not empty.
+  Queued PopLocked();
   void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable wake_;
-  std::deque<std::function<void()>> queue_;
+  std::vector<Queued> queue_;  ///< Heap, most urgent (rank, seq) first.
+  std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };

@@ -1,6 +1,11 @@
 #include "prof/chrome_trace.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cctype>
+#include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -105,12 +110,22 @@ std::string WriteChromeTrace(const Profile& profile,
   std::string path = dir;
   if (!path.empty() && path.back() != '/') path.push_back('/');
   path += TraceFileName(profile);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  Require(out.good(),
-          "AMDMB_TRACE_DIR: cannot open '" + path + "' for writing");
-  out << ChromeTraceJson(profile);
-  out.flush();
-  Require(out.good(), "AMDMB_TRACE_DIR: short write to '" + path + "'");
+  // Written under a private name, then renamed: concurrent curves that
+  // launch under the same name (the ablations keep the arch's name)
+  // each leave a whole file, never an interleaved one.
+  static std::atomic<std::uint64_t> next_private{0};
+  const std::string written = path + ".tmp" + std::to_string(::getpid()) +
+                              "_" + std::to_string(next_private++);
+  {
+    std::ofstream out(written, std::ios::binary | std::ios::trunc);
+    Require(out.good(),
+            "AMDMB_TRACE_DIR: cannot open '" + path + "' for writing");
+    out << ChromeTraceJson(profile);
+    out.flush();
+    Require(out.good(), "AMDMB_TRACE_DIR: short write to '" + path + "'");
+  }
+  Require(std::rename(written.c_str(), path.c_str()) == 0,
+          "AMDMB_TRACE_DIR: cannot rename to '" + path + "'");
   return path;
 }
 

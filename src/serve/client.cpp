@@ -19,6 +19,7 @@
 #include "common/status.hpp"
 #include "common/table.hpp"
 #include "kerncap/intake.hpp"
+#include "report/json.hpp"
 #include "serve/net.hpp"
 
 namespace amdmb::serve {
@@ -158,8 +159,7 @@ std::uint64_t Client::Drain() {
   for (;;) {
     const Event event = NextEvent();
     if (event.type == EventType::kDrained) {
-      return static_cast<std::uint64_t>(
-          event.body.NumberOr("completed", 0.0));
+      return report::U64Or(event.body, "completed", 0);
     }
     if (event.type == EventType::kError) {
       throw ConfigError("client: drain failed: " +

@@ -58,7 +58,8 @@ class Client {
   ServeStats Stats();
 
   /// Asks the daemon to drain; blocks until every admitted sweep is
-  /// done. Returns the daemon's completed-request count.
+  /// done. Returns the daemon's completed-request count; a count that is
+  /// not a whole number in range is a ConfigError naming `completed`.
   std::uint64_t Drain();
 
   /// Chaos: asks a fleet supervisor to SIGKILL worker `index`; blocks

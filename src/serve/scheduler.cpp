@@ -54,9 +54,17 @@ void Scheduler::StopAdmission() {
   draining_ = true;
 }
 
+void Scheduler::Retire(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  --in_flight_;
+  retired_.push_back(id);
+}
+
 void Scheduler::WaitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+  idle_.wait(lock, [this] {
+    return queue_.empty() && in_flight_ == 0 && retired_.empty();
+  });
 }
 
 void Scheduler::Shutdown() {
@@ -113,7 +121,7 @@ void Scheduler::WorkerLoop() {
     job(id);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      --in_flight_;
+      if (std::erase(retired_, id) == 0) --in_flight_;
     }
     idle_.notify_all();
   }

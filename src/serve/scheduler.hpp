@@ -63,6 +63,12 @@ class Scheduler {
   /// Rejects every subsequent Submit with kRejectedDraining.
   void StopAdmission();
 
+  /// Called by running job `id` just before it writes its terminal
+  /// event: from then on the job no longer counts as in flight, neither
+  /// in InFlight() nor for admission. WaitIdle still waits for the job
+  /// to return, so a drain still follows the terminal event.
+  void Retire(std::uint64_t id);
+
   /// Blocks until every admitted job has finished. Call StopAdmission
   /// first or new submits can extend the wait.
   void WaitIdle();
@@ -96,6 +102,8 @@ class Scheduler {
   std::deque<Entry> queue_;
   std::uint64_t next_id_ = 1;
   unsigned in_flight_ = 0;
+  /// Jobs that called Retire but have not returned yet.
+  std::vector<std::uint64_t> retired_;
   bool draining_ = false;
   bool stopping_ = false;
   std::vector<std::thread> workers_;

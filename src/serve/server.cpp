@@ -190,7 +190,13 @@ void Server::Admit(const std::shared_ptr<Session>& session,
        adaptive = request.adaptive, build = std::move(build),
        gate = admitted.get_future().share()](std::uint64_t id) {
         gate.wait();
-        Run(session, id, slug, curves, adaptive, build);
+        const std::string terminal =
+            Run(session, id, slug, curves, adaptive, build);
+        // Leave the in-flight count before the terminal event: a client
+        // that reads it and at once asks for stats must see this request
+        // finished.
+        scheduler_.Retire(id);
+        session->WriteLine(terminal);
       });
   if (ticket.admission != Admission::kAccepted) {
     store_.RecordRejected();
@@ -201,16 +207,17 @@ void Server::Admit(const std::shared_ptr<Session>& session,
   admitted.set_value();
 }
 
-void Server::Run(const std::shared_ptr<Session>& session, std::uint64_t id,
-                 const std::string& slug,
-                 const std::vector<std::string>& curves, bool adaptive,
-                 const BuildFn& build) {
+std::string Server::Run(const std::shared_ptr<Session>& session,
+                        std::uint64_t id, const std::string& slug,
+                        const std::vector<std::string>& curves,
+                        bool adaptive, const BuildFn& build) {
   const auto start = std::chrono::steady_clock::now();
   try {
     // Adaptive requests refine with the worker's env-snapshot knobs and
-    // stream one refine event per wave. Curves run sequentially, so the
-    // curve a wave belongs to is the first not-yet-done one (on_wave
-    // fires on the sweep thread, before that curve's progress event).
+    // stream one refine event per wave. Build replays each curve's waves
+    // on this thread just before that curve's progress event, and
+    // Characterize runs its curves in order on this thread, so the curve
+    // a wave belongs to is the first not-yet-done one.
     adapt::Settings settings;
     std::size_t curves_done = 0;
     if (adaptive) {
@@ -252,16 +259,13 @@ void Server::Run(const std::shared_ptr<Session>& session, std::uint64_t id,
                                       start)
             .count();
     const exec::KernelCacheStats cache = exec::KernelCache::Shared().Stats();
-    // Record before the done event: a client that reads done and
-    // immediately asks for stats must see this completion counted.
+    // Counted before the done event is out (see Admit).
     store_.RecordCompleted(slug, wall);
-    session->WriteLine(SerializeDone(id, slug, wall, cache.hits,
-                                     cache.misses,
-                                     report::BenchJson(figure)));
+    return SerializeDone(id, slug, wall, cache.hits, cache.misses,
+                         report::BenchJson(figure));
   } catch (const std::exception& e) {
     store_.RecordFailed(slug);
-    session->WriteLine(
-        SerializeError(id, ErrorKind::kSweepFailed, e.what()));
+    return SerializeError(id, ErrorKind::kSweepFailed, e.what());
   }
 }
 

@@ -97,11 +97,12 @@ class Server {
   void Admit(const std::shared_ptr<Session>& session, const Request& request,
              const std::string& slug, std::vector<std::string> curves,
              BuildFn build);
-  /// Runs one admitted build, streaming its events and the terminal
-  /// done / sweep_failed error.
-  void Run(const std::shared_ptr<Session>& session, std::uint64_t id,
-           const std::string& slug, const std::vector<std::string>& curves,
-           bool adaptive, const BuildFn& build);
+  /// Runs one admitted build, streaming its events, and returns its
+  /// terminal event: done, or a sweep_failed error.
+  std::string Run(const std::shared_ptr<Session>& session, std::uint64_t id,
+                  const std::string& slug,
+                  const std::vector<std::string>& curves, bool adaptive,
+                  const BuildFn& build);
 
   ServerConfig config_;
   Scheduler scheduler_;

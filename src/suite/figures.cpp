@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <exception>
 #include <utility>
 
 #include "suite/suite.hpp"
@@ -540,21 +541,98 @@ const FigureDef* Find(std::string_view name,
   return nullptr;
 }
 
+namespace {
+
+/// One curve's run: its own fragment of the figure, and the on_wave and
+/// on_profile calls it made, kept for Build to replay.
+struct CurveRun {
+  explicit CurveRun(const FigureDef& def)
+      : part(def.id, def.title, def.x_label, def.y_label, def.paper_claim) {}
+
+  report::Figure part;
+  std::vector<std::function<void()>> calls;
+  std::exception_ptr error;
+  bool ran = false;
+};
+
+/// Appends a curve's fragment to the figure in the order the curve
+/// wrote it; a series the figure already has gains the new points.
+void Merge(report::Figure& figure, report::Figure&& part) {
+  for (const Series& series : part.set.All()) {
+    Series& into = figure.set.Get(series.Name());
+    for (const SeriesPoint& p : series.Points()) into.Add(p.x, p.y);
+  }
+  Append(figure, std::move(part.findings));
+  for (report::Degradation& d : part.degradations) {
+    figure.degradations.push_back(std::move(d));
+  }
+  for (report::ProfileEntry& p : part.profiles) {
+    figure.profiles.push_back(std::move(p));
+  }
+  if (part.frontier) figure.frontier = std::move(part.frontier);
+}
+
+/// Runs `curve` into `run`, recording its on_wave and on_profile calls
+/// for Build to replay instead of making them.
+void RunCurve(const CurveDef& curve, const RunOptions& opts, CurveRun& run) {
+  run.ran = true;
+  RunOptions curve_opts = opts;
+  adapt::Settings settings;
+  if (opts.adaptive != nullptr) {
+    settings = *opts.adaptive;
+    if (settings.on_wave) {
+      settings.on_wave = [&run, &on_wave = opts.adaptive->on_wave](
+                             const adapt::WaveInfo& wave) {
+        run.calls.push_back([&on_wave, wave] { on_wave(wave); });
+      };
+    }
+    curve_opts.adaptive = &settings;
+  }
+  if (opts.on_profile) {
+    curve_opts.on_profile = [&run, &on_profile = opts.on_profile](
+                                const std::string& name,
+                                const prof::Profile& profile) {
+      run.calls.push_back(
+          [&on_profile, name, profile] { on_profile(name, profile); });
+    };
+  }
+  try {
+    curve.run(run.part, curve_opts);
+  } catch (...) {
+    run.error = std::current_exception();
+  }
+}
+
+}  // namespace
+
 report::Figure Build(const FigureDef& def, const RunOptions& opts,
                      const CurveCallback& on_curve) {
   report::Figure figure(def.id, def.title, def.x_label, def.y_label,
                         def.paper_claim);
-  for (std::size_t i = 0; i < def.curves.size(); ++i) {
-    if (opts.cancel != nullptr && opts.cancel->Cancelled()) break;
-    def.curves[i].run(figure, opts);
-    if (on_curve) {
-      on_curve(i, def.curves.size(), def.curves[i].name, figure);
-    }
-  }
+  const exec::SweepExecutor& executor = exec::ExecutorOrDefault(opts.executor);
+  const auto cancelled = [&] {
+    return opts.cancel != nullptr && opts.cancel->Cancelled();
+  };
+  const std::size_t count = def.curves.size();
+  std::vector<CurveRun> runs(count, CurveRun(def));
+  executor.RunInOrder(
+      count,
+      [&](std::size_t i) {
+        if (!cancelled()) RunCurve(def.curves[i], opts, runs[i]);
+      },
+      [&](std::size_t i) {
+        CurveRun& run = runs[i];
+        if (!run.ran) return false;
+        if (run.error) std::rethrow_exception(run.error);
+        Merge(figure, std::move(run.part));
+        for (const std::function<void()>& call : run.calls) call();
+        if (on_curve) on_curve(i, count, def.curves[i].name, figure);
+        return !cancelled();
+      });
   report::FinalizeMeta(figure);
   // Meta records how the figure actually ran: its executor's width and
   // the request's quick flag (for the bench binaries, AMDMB_QUICK).
-  figure.meta.threads = exec::ExecutorOrDefault(opts.executor).ThreadCount();
+  figure.meta.threads = executor.ThreadCount();
   figure.meta.quick = opts.quick;
   figure.meta.adaptive = opts.adaptive != nullptr;
   return figure;

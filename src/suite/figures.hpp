@@ -37,7 +37,7 @@ struct RunOptions {
   /// Sweep executor for every curve (null = process default).
   const exec::SweepExecutor* executor = nullptr;
   /// Cooperative cancellation (may be null): every curve's sweep skips
-  /// its remaining points, and Build starts no further curve.
+  /// its remaining points, and Build emits and starts no further curve.
   const exec::CancelToken* cancel = nullptr;
   /// Non-null runs every curve's sweep adaptively (coarse pass +
   /// bisection, adapt::Refine) instead of densely. Reflected in
@@ -45,14 +45,15 @@ struct RunOptions {
   const adapt::Settings* adaptive = nullptr;
   /// Non-empty turns profiling on in every Quick config and receives,
   /// from Note, each ProfileEntry's curve and the launch's full profile,
-  /// once and in `figure.profiles` order. The document keeps only the
-  /// entries.
+  /// once and in `figure.profiles` order (Build replays the calls on its
+  /// calling thread). The document keeps only the entries.
   std::function<void(const std::string&, const prof::Profile&)> on_profile;
 };
 
 /// One curve of a figure. `run` executes the sweep and appends the
-/// curve's series / findings / degradations / profiles to the figure
-/// record.
+/// curve's series / findings / degradations / profiles to the record it
+/// is given: under Build, a fragment of the figure that holds only this
+/// curve's output.
 struct CurveDef {
   std::string name;  ///< Progress label ("4870 Pixel Float").
   std::function<void(report::Figure&, const RunOptions&)> run;
@@ -93,15 +94,23 @@ std::string NormalizeSlug(std::string_view name);
 const FigureDef* Find(std::string_view name,
                       const std::vector<FigureDef>& registry = Registry());
 
-/// Called after each curve completes: (curve index, curve count, curve
-/// name, the figure record built so far).
+/// Called after each curve completes, on Build's calling thread and in
+/// curve order: (curve index, curve count, curve name, the figure record
+/// built so far).
 using CurveCallback = std::function<void(
     std::size_t, std::size_t, const std::string&, const report::Figure&)>;
 
-/// Runs every curve of `def` in order and returns the finalized figure
-/// record — the exact record the bench binary prints. Once
-/// opts.cancel has fired no further curve starts, so an interrupted
-/// build keeps exactly the curves that had started. `figure.meta.quick`
+/// Runs the curves of `def` as tasks on the executor's pool, curve i at
+/// rank i, and returns the finalized figure record — the exact record
+/// the bench binary prints. Each curve fills its own fragment. On the
+/// calling thread, in curve order, Build merges each fragment into the
+/// figure, replays the curve's opts.adaptive->on_wave and
+/// opts.on_profile calls, then calls `on_curve`, so documents and
+/// callback sequences are the same at any executor width. Once
+/// opts.cancel has fired by the time a curve is emitted, no later curve
+/// is emitted or started. Every curve task has finished when Build
+/// returns or throws; a throwing curve's exception is rethrown as is,
+/// after the curves before it were emitted. `figure.meta.quick`
 /// reflects opts.quick (the request scale), not the process
 /// environment.
 report::Figure Build(const FigureDef& def, const RunOptions& opts,

@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adapt/refiner.hpp"
@@ -22,6 +24,7 @@
 #include "common/status.hpp"
 #include "exec/sweep_executor.hpp"
 #include "fault/fault.hpp"
+#include "prof/profile.hpp"
 #include "report/json_sink.hpp"
 #include "report/record.hpp"
 #include "suite/alu_fetch.hpp"
@@ -448,6 +451,125 @@ TEST(AdaptiveDeterminismTest, FrontierFigureIsByteIdenticalAcrossWidths) {
   // The frontier block actually made it into the document.
   EXPECT_NE(a.find("\"frontier\""), std::string::npos);
   EXPECT_NE(a.find("\"adaptive\": true"), std::string::npos);
+}
+
+// ---- Concurrent curves -------------------------------------------------
+
+/// One document of either list, built densely or adaptively.
+struct DocumentCase {
+  const suite::figures::FigureDef* def;
+  bool adaptive;
+};
+
+std::vector<DocumentCase> EveryDocument() {
+  std::vector<DocumentCase> cases;
+  for (const bool adaptive : {false, true}) {
+    for (const auto* list :
+         {&suite::figures::Registry(), &suite::figures::Supplements()}) {
+      for (const suite::figures::FigureDef& def : *list) {
+        cases.push_back({&def, adaptive});
+      }
+    }
+  }
+  return cases;
+}
+
+class WidthInvarianceTest : public ::testing::TestWithParam<DocumentCase> {};
+
+// figures::Build runs a figure's curves concurrently and merges them in
+// curve order, so every document is the same at any executor width.
+TEST_P(WidthInvarianceTest, SameBytesAtWidths1And4And8) {
+  const DocumentCase& c = GetParam();
+  const adapt::Settings settings;
+  suite::figures::RunOptions opts;
+  opts.quick = true;
+  opts.adaptive = c.adaptive ? &settings : nullptr;
+  std::string serial;
+  for (const unsigned width : {1u, 4u, 8u}) {
+    const exec::SweepExecutor executor(width);
+    opts.executor = &executor;
+    const std::string doc =
+        WithoutThreads(suite::figures::Build(*c.def, opts), width);
+    if (width == 1) {
+      serial = doc;
+    } else {
+      EXPECT_EQ(doc, serial) << "width " << width;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDocument, WidthInvarianceTest, ::testing::ValuesIn(EveryDocument()),
+    [](const ::testing::TestParamInfo<DocumentCase>& info) {
+      return (info.param.adaptive ? "adaptive_" : "dense_") +
+             info.param.def->slug;
+    });
+
+// Build calls on_curve, every on_wave and every on_profile on its calling
+// thread, in curve order, and curve i's waves and profiles come after
+// on_curve(i - 1) and before on_curve(i), exactly as at width 1.
+TEST(ConcurrentBuildTest, CallbacksFireOnTheCallerInCurveOrder) {
+  const suite::figures::FigureDef* def = suite::figures::Find("fig_7");
+  ASSERT_NE(def, nullptr);
+  const auto calls_at = [&](unsigned width) {
+    const exec::SweepExecutor executor(width);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::vector<std::string> calls;
+    std::size_t elsewhere = 0;
+    const auto record = [&](std::string call) {
+      const std::lock_guard lock(mutex);
+      if (std::this_thread::get_id() != caller) ++elsewhere;
+      calls.push_back(std::move(call));
+    };
+    adapt::Settings settings;
+    settings.on_wave = [&](const adapt::WaveInfo& w) {
+      record("wave " + std::to_string(w.wave) + ": " +
+             std::to_string(w.wave_points) + " of " +
+             std::to_string(w.dense_points));
+    };
+    suite::figures::RunOptions opts;
+    opts.quick = true;
+    opts.adaptive = &settings;
+    opts.executor = &executor;
+    opts.on_profile = [&](const std::string& curve, const prof::Profile& p) {
+      record("profile " + curve + "/" + p.point);
+    };
+    suite::figures::Build(*def, opts,
+                          [&](std::size_t index, std::size_t,
+                              const std::string& name, const report::Figure&) {
+                            record("curve " + std::to_string(index) + " " +
+                                   name);
+                          });
+    EXPECT_EQ(elsewhere, 0u) << "width " << width;
+    return calls;
+  };
+  const std::vector<std::string> wide = calls_at(4);
+  EXPECT_EQ(wide, calls_at(1));
+
+  std::size_t curve = 0;
+  std::size_t waves = 0;
+  std::size_t profiles = 0;
+  for (const std::string& call : wide) {
+    ASSERT_LT(curve, def->curves.size()) << call;
+    const std::string& name = def->curves[curve].name;
+    if (call.rfind("wave ", 0) == 0) {
+      // Each curve refines once, so its waves count up from 0.
+      EXPECT_EQ(call.rfind("wave " + std::to_string(waves) + ":", 0), 0u)
+          << call;
+      ++waves;
+    } else if (call.rfind("profile ", 0) == 0) {
+      EXPECT_EQ(call.rfind("profile " + name + "/", 0), 0u) << call;
+      ++profiles;
+    } else {
+      EXPECT_EQ(call, "curve " + std::to_string(curve) + " " + name);
+      EXPECT_GT(waves, 0u) << call;
+      ++curve;
+      waves = 0;
+    }
+  }
+  EXPECT_EQ(curve, def->curves.size());
+  EXPECT_GT(profiles, 0u);
 }
 
 // Determinism satellite: a seeded fault schedule retries points but

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -53,14 +55,53 @@ TEST(ThreadPoolTest, ShutdownWithEmptyQueueJoinsCleanly) {
   // Destructor with nothing queued must not hang.
 }
 
-TEST(ThreadPoolTest, WorkersRunOnPoolThreads) {
-  std::atomic<bool> on_pool{false};
+/// Occupies `pool`'s only worker until the returned promise is set.
+std::promise<void> BlockTheWorker(ThreadPool& pool) {
+  std::promise<void> release;
+  const auto busy = std::make_shared<std::promise<void>>();
+  std::future<void> started = busy->get_future();
+  pool.Submit([busy, gate = release.get_future().share()] {
+    busy->set_value();
+    gate.wait();
+  });
+  started.wait();
+  return release;
+}
+
+TEST(ThreadPoolTest, RunsQueuedTasksByRankThenSubmissionOrder) {
+  std::vector<std::string> order;  // Appended by the one worker only.
   {
-    ThreadPool pool(2);
-    pool.Submit([&on_pool] { on_pool = exec::OnPoolThread(); });
+    ThreadPool pool(1);
+    std::promise<void> release = BlockTheWorker(pool);
+    pool.Submit([&] { order.push_back("rank 3"); }, 3);
+    pool.Submit([&] { order.push_back("rank 1, first"); }, 1);
+    pool.Submit([&] { order.push_back("rank 1, second"); }, 1);
+    pool.Submit([&] { order.push_back("rank 0"); }, 0);
+    release.set_value();
   }
-  EXPECT_TRUE(on_pool.load());
-  EXPECT_FALSE(exec::OnPoolThread());
+  EXPECT_EQ(order, (std::vector<std::string>{"rank 0", "rank 1, first",
+                                             "rank 1, second", "rank 3"}));
+}
+
+TEST(ThreadPoolTest, RunMoreUrgentRunsOnlyMoreUrgentTasksOnTheCaller) {
+  std::atomic<bool> urgent_ran_here{false};
+  std::atomic<bool> lax_ran{false};
+  ThreadPool pool(1);
+  std::promise<void> release = BlockTheWorker(pool);
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.Submit(
+      [&] { urgent_ran_here = std::this_thread::get_id() == caller; }, 1);
+  pool.Submit([&] { lax_ran = true; }, 5);
+  {
+    const exec::ScopedRank at(3);
+    pool.RunMoreUrgent();
+  }
+  EXPECT_TRUE(urgent_ran_here.load());
+  EXPECT_FALSE(lax_ran.load());
+  // At rank 0 nothing is more urgent.
+  pool.RunMoreUrgent();
+  EXPECT_FALSE(lax_ran.load());
+  release.set_value();
 }
 
 // ---- SweepExecutor -----------------------------------------------------
@@ -126,18 +167,29 @@ TEST(SweepExecutorTest, AggregatesEveryFailingPoint) {
   }
 }
 
-TEST(SweepExecutorTest, NestedMapRunsInlineWithoutDeadlock) {
+// Nested maps go through the pool. Both threads of the outer map sit in
+// its points, and the pool's spare thread helps their inner maps: each
+// inner point 0 waits for point 1 to start on another thread, which a
+// nested map run inline on one thread would never do.
+TEST(SweepExecutorTest, NestedMapsOnASaturatedPoolShareThreads) {
   const SweepExecutor executor(2);
   const auto out = executor.Map(4, [&](std::size_t outer) {
-    const auto inner =
-        executor.Map(4, [outer](std::size_t i) { return outer * 10 + i; });
-    std::size_t sum = 0;
-    for (const std::size_t v : inner) sum += v;
-    return sum;
+    std::promise<void> second;
+    std::future<void> second_started = second.get_future();
+    const auto inner = executor.Map(2, [&](std::size_t i) -> std::size_t {
+      if (i == 1) {
+        second.set_value();
+      } else if (second_started.wait_for(std::chrono::seconds(5)) !=
+                 std::future_status::ready) {
+        return 0;  // Point 1 never started beside point 0.
+      }
+      return outer * 10 + i + 1;
+    });
+    return inner[0] + inner[1];
   });
   ASSERT_EQ(out.size(), 4u);
   for (std::size_t outer = 0; outer < 4; ++outer) {
-    EXPECT_EQ(out[outer], outer * 40 + 6);
+    EXPECT_EQ(out[outer], outer * 20 + 3) << "outer point " << outer;
   }
 }
 

@@ -740,6 +740,106 @@ TEST(FigureBuild, CancelBeforeBuildYieldsNoSeries) {
   EXPECT_EQ(figure.id, registry.defs[0].id);
 }
 
+/// A figure of `count` curves. Curve i calls `body(i)`, then adds the
+/// points (i, 10i + k), k < 4, to its own series from a nested map on
+/// opts.executor.
+FigureDef CountedFigure(std::size_t count,
+                        const std::function<void(std::size_t)>& body) {
+  FigureDef def;
+  def.slug = "fig_96";
+  def.id = "Fig. 96 — Concurrent Build Test";
+  def.title = "Concurrent Build Test";
+  def.x_label = "x";
+  def.y_label = "y";
+  def.paper_claim = "none";
+  def.what = "curves that run side by side";
+  for (std::size_t i = 0; i < count; ++i) {
+    def.curves.push_back(
+        {"curve " + std::to_string(i),
+         [i, body](report::Figure& figure, const RunOptions& opts) {
+           body(i);
+           const auto ys = exec::ExecutorOrDefault(opts.executor)
+                               .Map(4, [i](std::size_t k) {
+                                 return static_cast<double>(i * 10 + k);
+                               });
+           Series& series = figure.set.Get("curve " + std::to_string(i));
+           for (const double y : ys) series.Add(static_cast<double>(i), y);
+         }});
+  }
+  return def;
+}
+
+// The lowest-index throwing curve's exception leaves Build as it was
+// thrown, after the curves before it were emitted.
+TEST(FigureBuild, ThrowingCurveSurfacesItsOwnException) {
+  const exec::SweepExecutor executor(4);
+  const FigureDef def = CountedFigure(4, [](std::size_t i) {
+    if (i == 1) throw ConfigError("curve 1 failed");
+    if (i == 2) throw std::runtime_error("curve 2 failed");
+  });
+  RunOptions opts;
+  opts.executor = &executor;
+  std::vector<std::size_t> emitted;
+  try {
+    suite::figures::Build(def, opts,
+                          [&](std::size_t index, std::size_t,
+                              const std::string&, const report::Figure&) {
+                            emitted.push_back(index);
+                          });
+    ADD_FAILURE() << "Build did not throw";
+  } catch (const ConfigError& e) {
+    EXPECT_STREQ(e.what(), "curve 1 failed");
+  }
+  EXPECT_EQ(emitted, std::vector<std::size_t>{0});
+}
+
+// A Build started inside a pool task, on the same saturated pool, still
+// completes, and matches a serial build.
+TEST(FigureBuild, BuildInsidePoolTasksCompletes) {
+  const FigureDef def = CountedFigure(6, [](std::size_t) {});
+  const exec::SweepExecutor serial(1);
+  RunOptions opts;
+  opts.executor = &serial;
+  const std::string expected =
+      report::BenchJson(suite::figures::Build(def, opts));
+  const exec::SweepExecutor executor(2);
+  opts.executor = &executor;
+  const std::vector<std::string> docs =
+      executor.Map(4, [&](std::size_t) {
+        report::Figure figure = suite::figures::Build(def, opts);
+        figure.meta.threads = 1;
+        return report::BenchJson(figure);
+      });
+  for (const std::string& doc : docs) EXPECT_EQ(doc, expected);
+}
+
+// An on_curve that throws stops the build, but only once every curve
+// that had started has finished. Curve 0 is quick, so on_curve(0) throws
+// while the first few of the slow later curves still run.
+TEST(FigureBuild, ThrowingOnCurveLeavesNoCurveRunning) {
+  const exec::SweepExecutor executor(4);
+  std::atomic<int> running{0};
+  std::atomic<int> started{0};
+  const FigureDef def = CountedFigure(16, [&](std::size_t i) {
+    ++started;
+    ++running;
+    if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    --running;
+  });
+  RunOptions opts;
+  opts.executor = &executor;
+  EXPECT_THROW(suite::figures::Build(def, opts,
+                                     [](std::size_t, std::size_t,
+                                        const std::string&,
+                                        const report::Figure&) {
+                                       throw ConfigError("on_curve failed");
+                                     }),
+               ConfigError);
+  EXPECT_EQ(running.load(), 0);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_LT(started.load(), 16);  // Curves not started never start.
+}
+
 std::string TestSocketPath(const char* name) {
   std::ostringstream os;
   os << ::testing::TempDir() << "amdmb_test_" << ::getpid() << "_" << name
@@ -1068,6 +1168,54 @@ TEST(ServeServer, StatsReportCountsAndLimits) {
   EXPECT_EQ(stats.latencies[0].figure, "fig_91");
   EXPECT_EQ(stats.latencies[0].count, 2u);
   EXPECT_LE(stats.latencies[0].p50_seconds, stats.latencies[0].p99_seconds);
+  server.Drain();
+}
+
+// The drained count is read like every other reply count: a value that
+// is not a whole number in range is a ConfigError naming the key.
+TEST(ServeProtocol, DrainRejectsACompletedCountOutOfRange) {
+  const std::string path = TestSocketPath("drain_count");
+  const int listener = MakeListenSocket(path);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    Session session(fd);
+    std::string request;
+    if (session.ReadLine(&request, 5000) == ReadStatus::kLine) {
+      session.WriteLine(R"({"event":"drained","completed":1e30})");
+    }
+  });
+  Client client = Client::Connect(path);
+  try {
+    client.Drain();
+    ADD_FAILURE() << "Drain accepted completed = 1e30";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("completed"), std::string::npos)
+        << e.what();
+  }
+  peer.join();
+  ::close(listener);
+  std::remove(path.c_str());
+}
+
+// A request stops counting as in flight before its done event is
+// written, so stats read right after done never still count it.
+TEST(ServeServer, StatsAfterDoneCountNothingInFlight) {
+  TestRegistry registry;
+  registry.release->set_value();
+  ServerConfig config;
+  config.socket_path = TestSocketPath("stats_after_done");
+  config.registry = &registry.defs;
+  Server server(config);
+  server.Start();
+
+  Client client = Client::Connect(config.socket_path);
+  for (std::uint64_t i = 1; i <= 50; ++i) {
+    ASSERT_EQ(client.Submit("fig_91", true, 0).type, EventType::kDone);
+    const ServeStats stats = client.Stats();
+    EXPECT_EQ(stats.in_flight, 0u) << "after submit " << i;
+    EXPECT_EQ(stats.completed, i);
+  }
   server.Drain();
 }
 
